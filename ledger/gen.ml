@@ -2,8 +2,7 @@
    and independent of the node's progress; at most [conns] connections are
    open at once. An arrival that finds every connection busy waits here
    and is still timed from its due time, never dropped. A run is a list of
-   segments (rate, seconds), a rate <= 0 meaning a closed loop over the
-   same connections; after each one the generator polls the node's
+   segments (rate, seconds); after each one the generator polls the node's
    /stats.json until the whole cascade of every accepted request has
    committed, which times the drain and keeps segments from overlapping. *)
 
@@ -104,18 +103,15 @@ let counters_json c =
   Printf.sprintf "{\"processed\":%d,\"wal_bytes\":%d,\"wal_syncs\":%d,\"cpu_ticks\":%d}"
     c.processed c.wal_bytes c.wal_syncs c.cpu
 
-(* [stop_p99_ms > 0]: a rate ladder. A segment whose p99 latency exceeds
-   it, that failed a request, or whose drain timed out is run once more
-   with a fresh schedule (a single stall on a shared machine must not end
-   the ladder), at most twice per ladder; the ladder stops at the first
-   miss it cannot retry. *)
+(* [stop_p99_ms > 0]: a rate ladder, which stops after the first segment
+   that misses: its p99 latency exceeds the limit, a request failed, or
+   its drain timed out. *)
 let main ~port ~seed ~program ~segments ~conns ~fanout ~records ~node_pid ~stop_p99_ms =
   Demaq.Net.Http.ignore_sigpipe ();
   let bodies = order_bodies ~seed ~program ~n:4096 in
   (* seeded Poisson arrival offsets of one segment *)
   let schedule_of rng rate seconds =
     let rec go t acc =
-      if rate <= 0. then [] else
       let t = t -. (log (1. -. Random.State.float rng 1.) /. rate) in
       if t >= seconds then List.rev acc else go t (t :: acc)
     in
@@ -136,9 +132,6 @@ let main ~port ~seed ~program ~segments ~conns ~fanout ~records ~node_pid ~stop_
      it met the ladder's limit. *)
   let run_segment si rate seconds offsets =
     let t_seg = now () in
-    (* rate <= 0: a closed loop, each connection sending its next request
-       as soon as the previous one completes, for [seconds] *)
-    let closed = rate <= 0. in
     let last_due = ref t_seg in
     let make due =
       let r =
@@ -204,11 +197,7 @@ let main ~port ~seed ~program ~segments ~conns ~fanout ~records ~node_pid ~stop_
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
       | exception Unix.Unix_error _ -> finish c 0
     in
-    while (not (Queue.is_empty pending)) || !active <> [] || (closed && now () < t_seg +. seconds) do
-      if closed then
-        while List.length !active < conns && now () < t_seg +. seconds do
-          start (make (now ()))
-        done;
+    while (not (Queue.is_empty pending)) || !active <> [] do
       while
         List.length !active < conns
         && (not (Queue.is_empty pending))
@@ -284,32 +273,21 @@ let main ~port ~seed ~program ~segments ~conns ~fanout ~records ~node_pid ~stop_
           ("t_start", Printf.sprintf "%.6f" t_seg);
           ("last_due", Printf.sprintf "%.6f" !last_due);
           ("drained", Printf.sprintf "%.6f" drained);
+          ("passed", string_of_bool passed);
           ("before", counters_json before);
           ("after", counters_json after);
         ],
       passed )
   in
-  let infos = ref [] and next = ref 0 in
-  let run rate seconds offsets =
-    let info, passed = run_segment !next rate seconds offsets in
-    incr next;
-    infos := info :: !infos;
-    passed
-  in
-  (* a ladder grants two retries in all, which bounds its length *)
-  let retries = ref 2 in
-  let rec loop = function
+  let infos = ref [] in
+  let rec loop si = function
     | [] -> ()
     | (rate, seconds, offsets) :: rest ->
-      if run rate seconds offsets then loop rest
-      else if !retries > 0 then begin
-        decr retries;
-        let retry = schedule_of (Random.State.make [| seed; 11; !next |]) rate seconds in
-        if run rate seconds retry then loop rest
-      end
+      let info, passed = run_segment si rate seconds offsets in
+      infos := info :: !infos;
+      if passed || stop_p99_ms <= 0. then loop (si + 1) rest
   in
-  (if stop_p99_ms <= 0. then List.iter (fun (r, s, o) -> ignore (run r s o)) planned
-   else loop planned);
+  loop 0 planned;
   Out_channel.with_open_bin records (fun oc ->
       List.iter
         (fun r ->

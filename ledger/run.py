@@ -66,6 +66,21 @@ EDGE_LAYERS = [
     ("self.ingress_handler_us_per_doc", "us"),
 ]
 
+# Layers only paper_procurement exercises (gateway transmits, echo timers,
+# retention GC). paper_procurement is not gated either, so these too are
+# printed on its runs only.
+PROC_LAYERS = [
+    ("ext.transmissions_per_doc", "count"),
+    ("ext.retries", "count"),
+    ("ext.dead_letters", "count"),
+    ("timer.fired", "count"),
+    ("timer.advance_us", "us"),
+    ("gc.maintain_us", "us"),
+    ("gc.collected_per_doc", "count"),
+    ("self.timer_advance_us_per_doc", "us"),
+    ("self.gc_maintain_us_per_doc", "us"),
+]
+
 PER_LAYER = [
     ("xml.parse_us_per_doc", "us"),
     ("xml.parse_words_per_doc", "words"),
@@ -93,13 +108,6 @@ PER_LAYER = [
     ("store.barrier_us.p99", "us"),
     ("store.open_s", "s"),
     ("store.replay_mb_per_s", "MB/s"),
-    ("ext.transmissions_per_doc", "count"),
-    ("ext.retries", "count"),
-    ("ext.dead_letters", "count"),
-    ("timer.fired", "count"),
-    ("timer.advance_us", "us"),
-    ("gc.maintain_us", "us"),
-    ("gc.collected_per_doc", "count"),
     ("lang.deploy_s", "s"),
     ("self.glue_us_per_doc", "us"),
     ("self.setup_us_per_doc", "us"),
@@ -108,14 +116,17 @@ PER_LAYER = [
     ("self.xml_parse_us_per_doc", "us"),
     ("self.mq_inject_us_per_doc", "us"),
     ("self.exec_run_us_per_doc", "us"),
-    ("self.timer_advance_us_per_doc", "us"),
-    ("self.gc_maintain_us_per_doc", "us"),
     ("ledger.e2e_us_per_doc", "us"),
     ("ledger.self_sum_us_per_doc", "us"),
     ("ledger.gap_frac", "ratio"),
     ("trace.overhead_pct", "%"),
     ("trace.spans", "count"),
 ]
+
+# The benchmark's own wrapper spans. Their self time is the benchmark's
+# code between layer calls: it is reported as a row of its own but kept out
+# of the layers' sum, so time that no layer span covers shows as a gap.
+GLUE = {"timed", "cycle", "request", "setup"}
 
 # span name -> self-time metric it is booked under
 SELF_METRIC = {
@@ -153,9 +164,7 @@ EDGE_SEGMENT_S = 1.5  # segments of ~1050 arrivals, each followed by a drain
 EDGE_WARMUP_S = 2.0  # unmeasured first segment: the controller settles
 EDGE_FIXED_SHARE = 0.6  # of the run's seconds; the ladder takes the rest
 EDGE_P99_LIMIT_MS = 50.0  # ceiling_rps: the p99 a ladder rung must meet
-EDGE_PROBE_S = 1.5  # closed-loop capacity probe that places the ladder
-# ladder rungs as shares of the probed capacity, ~10% apart around the knee
-EDGE_LADDER = (0.7, 0.77, 0.85, 0.93, 1.02, 1.12, 1.23, 1.35)
+EDGE_LADDER = (700, 1000, 1400, 2000, 2800, 4000, 5600, 8000)  # req/s
 EDGE_RUNG_SHARE = 0.05  # of the run's seconds, per ladder rung
 EDGE_SETUPS = 5  # node start-ups per run; the last one serves the load
 GEN_LATE_LIMIT_MS = 5.0  # generator lateness p99 above this marks a run invalid
@@ -169,6 +178,14 @@ WORK_ROOT = "_ledger_run"
 
 class Unrunnable(Exception):
     pass
+
+
+class GateFailed(Exception):
+    """A correctness gate failed before the run's figures could be taken."""
+
+    def __init__(self, failures, attempted, failed):
+        super().__init__("; ".join(failures))
+        self.failures, self.attempted, self.failed = failures, attempted, failed
 
 
 def log(msg):
@@ -307,8 +324,9 @@ def registry_layers(m, processed, docs):
 
 
 def ledger_metrics(layers, spans, roots, docs, e2e_us):
-    """Book each span's self time under its layer and check that the self
-    times along the blocking path add up to the end-to-end time."""
+    """Book each span's self time under its layer and check that the
+    layers' self times along the blocking path, the benchmark's own glue
+    left out, add up to the end-to-end time."""
     totals = stats.self_by_name(spans, roots)
     booked = {}
     for name, secs in totals.items():
@@ -318,10 +336,10 @@ def ledger_metrics(layers, spans, roots, docs, e2e_us):
         booked[metric] = booked.get(metric, 0.0) + secs
     for metric, secs in booked.items():
         layers[metric] = secs * 1e6 / docs
-    self_sum = sum(booked.values()) * 1e6 / docs
+    layer_sum = sum(secs for name, secs in totals.items() if name not in GLUE) * 1e6 / docs
     layers["ledger.e2e_us_per_doc"] = e2e_us
-    layers["ledger.self_sum_us_per_doc"] = self_sum
-    layers["ledger.gap_frac"] = stats.ledger_gap(self_sum, e2e_us)
+    layers["ledger.self_sum_us_per_doc"] = layer_sum
+    layers["ledger.gap_frac"] = stats.ledger_gap(layer_sum, e2e_us)
     layers["trace.spans"] = len(spans)
 
 
@@ -530,43 +548,23 @@ def phase_figures(summary, reqs):
 
 
 def ladder(node, seed, seconds, work):
-    """Rate ladder for ceiling_rps. A closed-loop probe over the same
-    connections measures the capacity; rungs of EDGE_RUNG_SHARE of the run
-    then climb through shares of it until a rung misses the limit twice
-    running. Placing the rungs from the probe keeps them ~10% apart at the
-    knee on any machine."""
-    _, probe = generate(node, seed + 1, [(0, EDGE_PROBE_S)], work, "probe")
-    capacity = sum(1 for r in probe if ok(r)) / EDGE_PROBE_S
+    """Rate ladder for ceiling_rps: rungs of EDGE_RUNG_SHARE of the run at
+    the EDGE_LADDER rates, climbed until one misses the limit (the
+    generator decides: p99 above it, a failed request or an undrained
+    backlog). Returns the requests and [(rate, p99_ms, passed)]."""
     per = seconds * EDGE_RUNG_SHARE
-    summary, reqs = generate(node, seed + 2, [(capacity * f, per) for f in EDGE_LADDER], work,
+    summary, reqs = generate(node, seed + 1, [(rate, per) for rate in EDGE_LADDER], work,
                              "ladder", stop_p99_ms=EDGE_P99_LIMIT_MS)
     rungs = []
     for i, seg in enumerate(summary["segments"]):
-        mine = [r for r in reqs if r["seg"] == i]
-        lat = [(r["t_done"] - r["due"]) * 1e3 for r in mine]
-        clean = all(ok(r) for r in mine) and seg["drained"] >= 0
-        rungs.append((seg["rate"], stats.quantile(lat, 0.99) if lat else 0.0, clean))
-    return probe + reqs, rungs, capacity
+        lat = [(r["t_done"] - r["due"]) * 1e3 for r in reqs if r["seg"] == i]
+        rungs.append((seg["rate"], stats.quantile(lat, 0.99) if lat else 0.0, seg["passed"]))
+    return reqs, rungs
 
 
 def ceiling(rungs):
-    """The highest ladder rate met with p99 within the limit, no failure
-    and a drained backlog, interpolated in log p99 toward the rate that
-    then missed the limit (on latency alone) on both of its attempts.
-    rungs: [(rate, p99_ms, clean)] in the order they ran. None when no
-    rung met the limit."""
-    met = [(rate, p99) for rate, p99, clean in rungs if clean and p99 <= EDGE_P99_LIMIT_MS]
-    if not met:
-        return None
-    rate, p99 = max(met)
-    missed = [(q, clean) for r, q, clean in rungs if r > rate]
-    if not missed or not all(clean for _, clean in missed):
-        return rate
-    next_rate = min(r for r, _, _ in rungs if r > rate)
-    q = min(q for q, _ in missed)
-    lo = stats.math.log(max(p99, 1e-3))
-    frac = (stats.math.log(EDGE_P99_LIMIT_MS) - lo) / (stats.math.log(q) - lo)
-    return rate + (next_rate - rate) * min(1.0, max(0.0, frac))
+    """The highest ladder rate that met the limit; 0 when none did."""
+    return max((rate for rate, _, passed in rungs if passed), default=0.0)
 
 
 def drain_gate(node, base, accepted, timeout=10.0):
@@ -605,42 +603,37 @@ def run_edge(seed, seconds, trace, work):
                 node = None
         base = stats.counter(node.metrics(), "demaq_processed_total")
         summary, measured, reqs, _ = fixed_phase(node, seed, seconds * EDGE_FIXED_SHARE, work, "fixed")
-        figures, record = phase_figures(summary, measured)
         # peak RSS of the same work on every run, before the ladder's extent varies
         rss = node.rss_peak_mib()
-        lreqs, rungs, capacity = ladder(node, seed, seconds, work)
+        lreqs, rungs = ladder(node, seed, seconds, work)
         failures = edge_gate(node, base, reqs + lreqs)
         fixed_failed = sum(1 for r in reqs if not ok(r))
         gc = node.stop()
         node = None
+        failed = fixed_failed + len(failures)
+        if fixed_failed:
+            failures.append("%d of %d fixed-rate requests failed" % (fixed_failed, len(reqs)))
+        if failures:
+            raise GateFailed(failures, len(reqs), failed)
         if "allocated_words" not in gc:
             raise Unrunnable("the node printed no GC statistics at exit")
-        accepted_all = sum(1 for r in reqs + lreqs if ok(r))
-        # the fixed-rate phase is the ladder's bottom rung: when the probe
-        # overestimates the capacity and every rung misses, the ceiling is
-        # still bracketed from below
-        rungs = [(EDGE_RATE, figures["ack_p99_ms"], fixed_failed == 0)] + rungs
-        top = ceiling(rungs)
-        if top is None:
-            failures.append("no ladder rung met the %.0f ms p99 limit" % EDGE_P99_LIMIT_MS)
-            top = 0.0
+        figures, record = phase_figures(summary, measured)
         e2e = dict(figures)
         e2e.update({
             "setup_s": stats.median(setups),
-            "ceiling_rps": top,
-            "alloc_words_per_doc": gc["allocated_words"] / accepted_all,
+            "ceiling_rps": ceiling(rungs),
+            "alloc_words_per_doc": gc["allocated_words"] / sum(1 for r in reqs + lreqs if ok(r)),
             "mem_peak_mb": rss,
         })
         record.update({
-            "ladder": [{"rate": r, "p99_ms": p, "clean": c} for r, p, c in rungs],
-            "p99_limit_ms": EDGE_P99_LIMIT_MS, "rate": EDGE_RATE, "closed_loop_rps": capacity,
-            "fixed_requests": len(reqs), "fixed_failed": fixed_failed,
-            "failures": failures,
+            "ladder": [{"rate": r, "p99_ms": p, "passed": c} for r, p, c in rungs],
+            "p99_limit_ms": EDGE_P99_LIMIT_MS, "rate": EDGE_RATE,
+            "fixed_requests": len(reqs), "failures": [],
             "node_flags": " ".join(NODE_FLAGS + ["--store DIR"]),
             "conns": os.cpu_count(),
         })
         record["valid"] = record["generator_late_p99_ms"] <= GEN_LATE_LIMIT_MS
-        return len(reqs), fixed_failed + len(failures), e2e, None, record
+        return len(reqs), 0, e2e, None, record
     finally:
         if node is not None:
             node.kill()
@@ -667,6 +660,13 @@ def run_edge_traced(seed, seconds, work):
         ctl_target = stats.counter(host.metrics(), "demaq_controller_batch_target")
     finally:
         host.stop()
+    attempted = len(reqs) + len(preqs)
+    not_ok = sum(1 for r in reqs + preqs if not ok(r))
+    failed = not_ok + len(failures)
+    if not_ok:
+        failures.append("%d of %d requests failed" % (not_ok, attempted))
+    if failures:
+        raise GateFailed(failures, attempted, failed)
     node_spans = load_spans(spans_path)
     with open(spans_path + ".host.json") as f:
         host_info = json.load(f)
@@ -742,12 +742,10 @@ def run_edge_traced(seed, seconds, work):
     plain_acks = [(r["t_done"] - r["due"]) * 1e6 for r in preqs if ok(r)]
     layers["trace.overhead_pct"] = (stats.mean(acks_us) / stats.mean(plain_acks) - 1) * 100
     _, record = phase_figures(summary, measured)
-    record.update({"failures": failures, "node_flags": "ledger host mirroring demaqd run "
+    record.update({"failures": [], "node_flags": "ledger host mirroring demaqd run "
                    + " ".join(NODE_FLAGS + ["--store DIR"])})
     record["valid"] = record["generator_late_p99_ms"] <= GEN_LATE_LIMIT_MS
-    attempted = len(reqs) + len(preqs)
-    failed = sum(1 for r in reqs + preqs if not ok(r)) + len(failures)
-    return attempted, failed, None, layers, record
+    return attempted, 0, None, layers, record
 
 
 # ---- main ----
@@ -771,15 +769,30 @@ def main():
         else:
             attempted, failed, e2e, layers, record = run_inproc(
                 args.workload, args.seed, args.seconds, args.trace == 1, work)
-    except (Unrunnable, OSError, subprocess.SubprocessError, ValueError, KeyError) as e:
+    except GateFailed as e:
+        for msg in e.failures:
+            print("GATE FAILED: " + msg)
+        print(json.dumps({"correct": False, "attempted": e.attempted, "failed": e.failed,
+                          "metrics": {}}))
+        return 1
+    except (Unrunnable, OSError, subprocess.SubprocessError, ValueError, KeyError,
+            ZeroDivisionError) as e:
         log("ledger: cannot run: %s" % e)
         return 2
+    if layers is not None and not stats.ledger_ok(layers["ledger.self_sum_us_per_doc"],
+                                                  layers["ledger.e2e_us_per_doc"]):
+        # the ledger is this run's product: one that misses is a failed check
+        record["failures"] = record.get("failures", []) + [
+            "ledger: layer self times miss the end-to-end time by %.1f%% (limit %.0f%%)"
+            % (100 * layers["ledger.gap_frac"], 100 * stats.LEDGER_TOLERANCE)]
+        failed += 1
     correct = failed == 0
     metrics = {}
     if not args.trace:
         table, values = END_TO_END, e2e
     else:
-        table = PER_LAYER + (EDGE_LAYERS if args.workload == "edge_fanout" else [])
+        table = PER_LAYER + {"edge_fanout": EDGE_LAYERS,
+                             "paper_procurement": PROC_LAYERS}.get(args.workload, [])
         values = layers
     for name, unit in table:
         v = values.get(name, 0.0)
@@ -797,10 +810,6 @@ def main():
              record["commit"][:12], record["valid"]))
     for msg in record.get("failures", []):
         print("GATE FAILED: " + msg)
-    if layers is not None and not stats.ledger_ok(layers["ledger.self_sum_us_per_doc"],
-                                                  layers["ledger.e2e_us_per_doc"]):
-        log("ledger: self times miss the end-to-end time by %.1f%%"
-            % (100 * layers["ledger.gap_frac"]))
     print(json.dumps({"correct": correct, "attempted": attempted, "failed": failed,
                       "metrics": metrics}))
     return 0 if correct else 1
