@@ -18,7 +18,7 @@ module Value = Demaq.Value
 module Store = Demaq.Store.Message_store
 module Wal = Demaq.Store.Wal
 module Btree = Demaq.Store.Btree
-module Lock = Demaq.Store.Lock_manager
+module Dispatch = Demaq.Engine.Dispatch
 module Defs = Demaq.Mq.Defs
 module Qm = Demaq.Mq.Queue_manager
 module Message = Demaq.Message
@@ -59,16 +59,13 @@ let json_meta () =
     \    \"date\": \"%s\",\n\
     \    \"ocaml\": \"%s\",\n\
     \    \"cores\": %d,\n\
-    \    \"config\": {\"workers\": %d, \"batch_size\": %d, \"group_commit\": %b, \"lock_granularity\": \"%s\"}\n\
+    \    \"config\": {\"workers\": %d, \"batch_size\": %d, \"group_commit\": %b}\n\
     \  }"
     (command_output "git rev-parse --short HEAD")
     (iso_date ()) Sys.ocaml_version
     (Domain.recommended_domain_count ())
     S.default_config.S.workers S.default_config.S.batch_size
     S.default_config.S.group_commit
-    (match S.default_config.S.lock_granularity with
-     | `Queue -> "queue"
-     | `Slice -> "slice")
 
 let write_json file =
   let oc = open_out file in
@@ -239,63 +236,62 @@ let b2 () =
       ignore (b2_run ~rules:16 ~messages:20 ~merged:true))
 
 (* ------------------------------------------------------------------ *)
-(* B3: slice-granularity vs queue-granularity locking (§4.3)           *)
+(* B3: slice- vs queue-granularity conflict resources (§4.3)          *)
 (* ------------------------------------------------------------------ *)
 
-(* Simulated concurrency: [txns] transactions each want to process one
-   message of the same queue; a transaction locks either the whole queue
-   or just its message's slice. Execution proceeds in rounds: every
-   still-pending transaction tries to acquire its lock; the ones that
-   succeed complete this round. Effective parallelism = txns / rounds. *)
+(* [txns] messages of one queue go through the dispatcher, each claiming
+   either the whole queue or just its message's slice. Execution proceeds
+   in waves: take everything the dispatcher hands out until it answers
+   Busy or Empty, then complete it all. Effective parallelism =
+   txns / waves. *)
 let b3_simulate ~txns ~keys granularity =
-  let lm = Lock.create () in
-  let pending = ref (List.init txns (fun i -> (i + 1, Printf.sprintf "k%d" (i mod keys)))) in
-  let rounds = ref 0 in
-  let conflicts = ref 0 in
-  while !pending <> [] do
-    incr rounds;
-    let winners =
-      List.filter
-        (fun (txn, key) ->
-          let resource =
-            match granularity with
-            | `Queue -> Lock.Queue_lock "orders"
-            | `Slice -> Lock.Slice_lock ("byOrder", key)
-          in
-          match Lock.acquire lm ~txn resource Lock.Exclusive with
-          | Lock.Granted -> true
-          | Lock.Conflict _ ->
-            incr conflicts;
-            false)
-        !pending
+  let d = Dispatch.create () in
+  for rid = 1 to txns do
+    let resource =
+      match granularity with
+      | `Queue -> "q:orders"
+      | `Slice -> Printf.sprintf "s:byOrder/k%d" ((rid - 1) mod keys)
     in
-    (* the granted transactions commit and release at end of round *)
-    List.iter (fun (txn, _) -> Lock.release_all lm ~txn) winners;
-    pending := List.filter (fun t -> not (List.mem t winners)) !pending
+    Dispatch.schedule d ~priority:0 ~resources:[ resource ] rid
   done;
-  (!rounds, !conflicts)
+  let waves = ref 0 in
+  let rec wave acc =
+    match Dispatch.next d with
+    | Dispatch.Ready rid -> wave (rid :: acc)
+    | Dispatch.Busy | Dispatch.Empty -> acc
+  in
+  let rec drain () =
+    match wave [] with
+    | [] -> ()
+    | running ->
+      incr waves;
+      List.iter (Dispatch.complete d) running;
+      drain ()
+  in
+  drain ();
+  !waves
 
 let b3 () =
   headline "B3 slice_locking"
-    "slice-granularity locks admit more concurrency than queue-level locks";
+    "slice-granularity conflict resources admit more concurrency than queue-level ones";
   table_header
-    [ ("txns", 6); ("slice keys", 10); ("queue-lock rounds", 17);
-      ("slice-lock rounds", 17); ("parallelism", 11) ];
+    [ ("txns", 6); ("slice keys", 10); ("queue-res waves", 15);
+      ("slice-res waves", 15); ("parallelism", 11) ];
   List.iter
     (fun keys ->
       let txns = scale 200 in
-      let q_rounds, _ = b3_simulate ~txns ~keys `Queue in
-      let s_rounds, _ = b3_simulate ~txns ~keys `Slice in
+      let q_waves = b3_simulate ~txns ~keys `Queue in
+      let s_waves = b3_simulate ~txns ~keys `Slice in
       row
         [
           cell 6 "%d" txns; cell 10 "%d" keys;
-          cell 17 "%d" q_rounds; cell 17 "%d" s_rounds;
-          cell 11 "%.1fx" (float q_rounds /. float s_rounds);
+          cell 15 "%d" q_waves; cell 15 "%d" s_waves;
+          cell 11 "%.1fx" (float q_waves /. float s_waves);
         ])
     [ 2; 10; 50 ];
-  register_bechamel "B3/queue-locks-100txn" (fun () ->
+  register_bechamel "B3/queue-resource-100txn" (fun () ->
       ignore (b3_simulate ~txns:100 ~keys:10 `Queue));
-  register_bechamel "B3/slice-locks-100txn" (fun () ->
+  register_bechamel "B3/slice-resource-100txn" (fun () ->
       ignore (b3_simulate ~txns:100 ~keys:10 `Slice))
 
 (* ------------------------------------------------------------------ *)
@@ -1280,7 +1276,6 @@ let b15 () =
 
 module Compiler = Demaq.Lang.Compiler
 module Qdl = Demaq.Lang.Qdl
-module Dispatch = Demaq.Engine.Dispatch
 
 (* Part 1: the guarded plan vs per-rule interpretation. [rules] rules
    share two guards and one common count-sum subexpression; the compiled

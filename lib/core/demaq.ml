@@ -21,12 +21,15 @@
     ]}
 
     The submodules expose each subsystem: [Xml] (data model, parser,
-    serializer, schema), [Xquery] (the rule expression language), [Store]
-    (WAL, B-tree, locks, recoverable message store), [Mq] (queues,
-    properties, slicings, retention), [Net] (simulated transports), [Lang]
-    (QDL/QML front-end and rule compiler), [Engine] (scheduler, timers,
-    server), [Baseline] (comparison engines for the benchmarks) and [Sim]
-    (the deterministic simulation harness). *)
+    serializer, schema, binary encoding), [Xquery] (the rule expression
+    language and its guarded-plan IR), [Store] (WAL, B-tree, heap file,
+    recoverable message store), [Mq] (queues, properties, slicings,
+    retention), [Net] (simulated transports, SOAP/WSDL, HTTP ingress,
+    load generator), [Lang] (QDL/QML front-end and rule compiler), [Engine]
+    (scheduler, conflict-partitioning dispatcher, executor, timers,
+    server), [Obs] (metrics, lifecycle spans, causal flows), [Baseline]
+    (comparison engines for the benchmarks) and [Sim] (the deterministic
+    simulation harness). *)
 
 module Xml = Demaq_xml
 module Xquery = Demaq_xquery
@@ -64,7 +67,3 @@ let inject = Demaq_engine.Server.inject
 let query ?host ?vars ?context src =
   fst (Demaq_xquery.Eval.run ?host ?vars ?context src)
 (** One-shot expression evaluation, for exploration and tests. *)
-
-(* Kept so the original scaffold's placeholder test keeps compiling until
-   the real suites replace it. *)
-let placeholder () = ()

@@ -3,12 +3,13 @@
    Gray's "Queues Are Databases" runs a pool of servers draining one queue
    set in parallel; what keeps that sound in Demaq is a partitioning rule
    layered over the priority scheduler (§4.4.2): two messages that could
-   conflict — same queue, or overlapping slices under slice-granularity
-   locking — must never run concurrently, and within a queue the arrival
-   order must survive parallel execution.
+   conflict — same queue, or the same slice (§4.3) — must never run
+   concurrently, and within a queue the arrival order must survive
+   parallel execution. This partition is the engine's only conflict
+   control.
 
    Each scheduled message carries its conflict resources (queue name plus
-   slice memberships, computed by the executor from [lock_granularity]).
+   slice memberships, computed by the executor's [resources_for]).
    [next] pops the scheduler heap; an entry whose resources are all free
    starts running and claims them, an entry blocked on an in-flight
    resource is parked on that resource. Completion releases the resources

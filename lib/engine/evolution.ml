@@ -64,7 +64,9 @@ let evolve (ctx : Executor.t) src =
                 | Qdl.Create_slicing s -> Qm.add_slicing ctx.Executor.qm s
                 | Qdl.Create_rule _ | Qdl.Drop_rule _ -> ())
               additions;
+            let cfg = ctx.Executor.cfg in
             ctx.Executor.compiled <-
-              Compiler.compile ~optimize:ctx.Executor.cfg.Executor.optimize combined;
+              Compiler.compile ~optimize:cfg.Executor.optimize
+                ~merged:cfg.Executor.merged_plans combined;
             Ok ())
     end

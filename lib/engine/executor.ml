@@ -12,16 +12,20 @@
      whole error-routing family [raise_error]/[enqueue_internal]/
      [register_echo_timer] plus [in_txn] — assume it is HELD; public
      entry points take it.
-   - [process] holds the lock only around the setup (fetch, lock
-     acquisition, rule-plan lookup) and apply/commit phases. The
-     CPU-heavy rule evaluation runs UNLOCKED: message trees are immutable
-     once parsed, and the qs: host callbacks re-acquire [state_mu]
-     per call. Same-queue and same-slice conflicts cannot run
-     concurrently (the dispatcher partitions on exactly the resources
-     [resources_for] reports), so a rule's view of its own queue and
-     slices is serializable; reads of *other* queues see read-committed
-     state, which single-worker mode — the deterministic reference —
-     never exercises differently from the seed engine.
+   - [process] holds the lock only around the setup (fetch, txn begin,
+     rule-plan lookup) and apply/commit phases. The CPU-heavy rule
+     evaluation runs UNLOCKED: message trees are immutable once parsed,
+     and the qs: host callbacks re-acquire [state_mu] per call.
+     Conflict control is the dispatcher's alone: it partitions on
+     exactly the resources [resources_for] reports, so same-queue and
+     same-slice messages never run concurrently (§4.3) and a rule's view
+     of its own queue and slices is serializable; reads of *other*
+     queues see read-committed state, which single-worker mode — the
+     deterministic reference — never exercises differently from the
+     seed engine.
+   - Every message runs its compiled plans ({!Plan_ir}); per-rule
+     interpretation ([merged_plans = false]) is a compile-time lowering
+     to one unguarded plan entry per rule, not a second execution path.
    - Statistics live in a sharded [Demaq_obs.Metrics] registry: workers
      mutate their own shard without synchronization, reads aggregate.
      Lifecycle spans go to a bounded [Demaq_obs.Trace] ring with its own
@@ -35,7 +39,6 @@ module Eval = Demaq_xquery.Eval
 module Context = Demaq_xquery.Context
 module Update = Demaq_xquery.Update
 module Store = Demaq_store.Message_store
-module Lock = Demaq_store.Lock_manager
 module Qm = Demaq_mq.Queue_manager
 module Message = Demaq_mq.Message
 module Defs = Demaq_mq.Defs
@@ -59,7 +62,6 @@ type config = {
          footprints instead of whole queues: same-queue messages whose
          admitted rules touch disjoint resources run concurrently *)
   use_slice_index : bool;
-  lock_granularity : [ `Queue | `Slice ];
   use_prefilter : bool;
   trace_capacity : int;
   flow_tracing : bool;
@@ -102,7 +104,7 @@ type metrics = {
          without ever materializing a body tree *)
   m_trees_materialized : Metrics.counter;  (* payload decodes into trees *)
   m_decoded_bytes : Metrics.counter;  (* payload bytes those decodes read *)
-  m_lock_seconds : Metrics.histogram;  (* setup: fetch + locks + plans *)
+  m_lock_seconds : Metrics.histogram;  (* setup: fetch + txn + plans *)
   m_decode_seconds : Metrics.histogram;  (* lazy body decode inside setup *)
   m_eval_seconds : Metrics.histogram;  (* unlocked snapshot evaluation *)
   m_apply_seconds : Metrics.histogram;  (* locked apply + commit *)
@@ -198,7 +200,7 @@ let make_metrics reg =
         ~help:"Stored payload bytes read by body decodes";
     m_lock_seconds =
       Metrics.histogram reg "demaq_phase_lock_seconds"
-        ~help:"Transaction setup: fetch, lock acquisition, plan lookup (sampled 1:8 unless tracing)";
+        ~help:"Transaction setup under the state lock: fetch, txn begin, plan lookup (sampled 1:8 unless tracing)";
     m_decode_seconds =
       Metrics.histogram reg "demaq_phase_decode_seconds"
         ~help:"Lazy payload decode during setup (sampled 1:8 unless tracing)";
@@ -274,9 +276,9 @@ let harden t =
 
 (* Crash safety (§3.1, §3.6): every state change runs inside [in_txn], so
    that an exception anywhere — evaluator bugs, injected faults, broken
-   endpoint handlers — aborts the transaction and releases its locks via
-   [Store.abort] instead of leaking them. Assumes [state_mu] is held;
-   [with_txn] is the self-locking variant. *)
+   endpoint handlers — aborts the transaction via [Store.abort], undoing
+   its effects instead of leaving them half-applied. Assumes [state_mu] is
+   held; [with_txn] is the self-locking variant. *)
 let in_txn t f =
   let txn = Store.begin_txn t.st in
   match f txn with
@@ -543,12 +545,12 @@ let footprint_resources t (m : Message.t) =
   List.rev !resources
 
 (* The conflict resources the dispatcher partitions on. Default: always
-   the queue (per-queue arrival order must survive parallelism), plus the
-   slice memberships under slice-granularity locking — exactly the
-   resources the lock manager would serialize on (§4.3). The per-queue
-   resource string is the one the compiler interned on the plan, so
-   dispatch never rebuilds it per message. Under [footprint_dispatch] the
-   partition narrows to the admitted rules' static footprints. *)
+   the queue (per-queue arrival order must survive parallelism), plus one
+   resource per slice membership, so transactions on different slices of
+   a slicing never serialize on each other (§4.3). The per-queue resource
+   string is the one the compiler interned on the plan, so dispatch never
+   rebuilds it per message. Under [footprint_dispatch] the partition
+   narrows to the admitted rules' static footprints. *)
 let resources_for t (m : Message.t) =
   if t.cfg.footprint_dispatch then footprint_resources t m
   else
@@ -557,14 +559,11 @@ let resources_for t (m : Message.t) =
       | Some plan -> plan.Compiler.queue_resource
       | None -> "q:" ^ m.Message.queue
     in
-    match t.cfg.lock_granularity with
-    | `Queue -> [ queue_res ]
-    | `Slice ->
-      queue_res
-      :: List.map
-           (fun (mem : Message.membership) ->
-             Printf.sprintf "s:%s/%s" mem.Message.m_slicing mem.Message.m_key)
-           m.Message.memberships
+    queue_res
+    :: List.map
+         (fun (mem : Message.membership) ->
+           Printf.sprintf "s:%s/%s" mem.Message.m_slicing mem.Message.m_key)
+         m.Message.memberships
 
 let schedule_message t (m : Message.t) =
   (* queue-wait attribution starts at schedule time; only paid for when
@@ -756,14 +755,6 @@ let admission_stats t =
 
 (* ---- rule execution (§3.1) ---- *)
 
-type eval_unit = {
-  eu_rule : string;
-  eu_error_queue : string option;
-  eu_slice_ctx : (string * string) option;
-  eu_body : Ast.expr;
-  eu_requirements : string list;
-}
-
 (* Update attribution: which rule produced a pending update (blame for
    §3.6 error routing) and under which slice context it ran (resolves
    [do reset] with no explicit slicing). *)
@@ -782,49 +773,6 @@ type plan_work = {
   pw_slice_ctx : (string * string) option;
   pw_admit : bool array;
 }
-
-(* What [prepare] hands to [evaluate]: per-rule interpretation (the
-   reference semantics) or the compiler's guarded plans ([merged_plans],
-   the default). *)
-type work = Units of eval_unit list | Planned of plan_work list
-
-let units_for t (m : Message.t) =
-  let queue_units =
-    match Compiler.plan_for t.compiled m.Message.queue with
-    | None -> []
-    | Some plan ->
-      List.map
-        (fun (r : Compiler.compiled_rule) ->
-          { eu_rule = r.cr_name;
-            eu_error_queue = r.cr_error_queue;
-            eu_slice_ctx = None;
-            eu_body = r.cr_body;
-            eu_requirements = r.cr_requirements })
-        plan.Compiler.rules
-  in
-  let slice_units =
-    List.concat_map
-      (fun (mem : Message.membership) ->
-        if not (Qm.membership_current t.qm m mem) then []
-        else
-          match Compiler.plan_for t.compiled mem.Message.m_slicing with
-          | None -> []
-          | Some plan ->
-            let ctx = Some (mem.Message.m_slicing, mem.Message.m_key) in
-            List.map
-              (fun (r : Compiler.compiled_rule) ->
-                { eu_rule = r.cr_name;
-                  eu_error_queue = r.cr_error_queue;
-                  eu_slice_ctx = ctx;
-                  eu_body = r.cr_body;
-                  (* slice rules react to slice membership, not only to
-                     the triggering message's own content: conditions
-                     usually inspect qs:slice(), so no prefiltering *)
-                  eu_requirements = [] })
-              plan.Compiler.rules)
-      m.Message.memberships
-  in
-  queue_units @ slice_units
 
 let plan_works_for t (m : Message.t) =
   let work_of plan ctx =
@@ -852,25 +800,6 @@ let plan_works_for t (m : Message.t) =
       m.Message.memberships
   in
   queue_work @ slice_works
-
-let work_for t (m : Message.t) =
-  if t.cfg.merged_plans then Planned (plan_works_for t m)
-  else Units (units_for t m)
-
-let acquire_locks t txn (m : Message.t) =
-  let locks = Store.locks t.st in
-  let txn_id = Store.txn_id txn in
-  let resources =
-    match t.cfg.lock_granularity with
-    | `Queue -> [ Lock.Queue_lock m.Message.queue ]
-    | `Slice ->
-      Lock.Message_lock m.Message.rid
-      :: List.map
-           (fun (mem : Message.membership) ->
-             Lock.Slice_lock (mem.Message.m_slicing, mem.Message.m_key))
-           m.Message.memberships
-  in
-  List.iter (fun r -> ignore (Lock.acquire locks ~txn:txn_id r Lock.Exclusive)) resources
 
 let apply_updates t txn blamed (m : Message.t) tagged =
   List.iter
@@ -962,8 +891,8 @@ let message t rid =
   | None -> None
 
 (* Setup phase, under [state_mu]: fetch the message, open the transaction,
-   take its 2PL locks, look up the pertinent rule plans and pre-filter
-   them against the message's element-name synopsis. Binary payloads
+   look up the pertinent rule plans and pre-filter them against the
+   message's element-name synopsis. Binary payloads
    carry the synopsis in their header, so admission is decided on the
    raw bytes; the body tree is materialized only when at least one rule
    survives the filter — a message every pertinent rule prefilters away
@@ -992,18 +921,14 @@ let prepare t ~acts ~now rid =
     if wait_ns > 0 && Metrics.timing_on t.reg then
       Metrics.observe (wait_hist_for t m.Message.queue) wait_ns;
     let txn = Store.begin_txn t.st in
-    acquire_locks t txn m;
-    let work = work_for t m in
+    let work = plan_works_for t m in
     let needs_names =
-      match work with
-      | Units units -> List.exists (fun eu -> eu.eu_requirements <> []) units
-      | Planned pws ->
-        List.exists
-          (fun pw ->
-            List.exists
-              (fun (g : Plan_ir.guarded) -> g.Plan_ir.g_requirements <> [])
-              pw.pw_plan.Plan_ir.p_guarded)
-          pws
+      List.exists
+        (fun pw ->
+          List.exists
+            (fun (g : Plan_ir.guarded) -> g.Plan_ir.g_requirements <> [])
+            pw.pw_plan.Plan_ir.p_guarded)
+        work
     in
     let message_names =
       if t.cfg.use_prefilter && needs_names then
@@ -1028,45 +953,24 @@ let prepare t ~acts ~now rid =
       if Trace.enabled t.spans then
         acts := { Trace.a_rule = rule; a_updates = 0; a_skipped = true } :: !acts
     in
-    let work =
-      match message_names with
-      | None -> work
-      | Some names -> (
-        match work with
-        | Units units ->
-          Units
-            (List.filter
-               (fun eu ->
-                 if Prefilter.may_match ~requirements:eu.eu_requirements ~names
-                 then true
-                 else begin
-                   skip eu.eu_rule;
-                   false
-                 end)
-               units)
-        | Planned pws ->
-          List.iter
-            (fun pw ->
-              List.iteri
-                (fun i (g : Plan_ir.guarded) ->
-                  if
-                    not
-                      (Prefilter.may_match
-                         ~requirements:g.Plan_ir.g_requirements ~names)
-                  then begin
-                    pw.pw_admit.(i) <- false;
-                    skip g.Plan_ir.g_name
-                  end)
-                pw.pw_plan.Plan_ir.p_guarded)
-            pws;
-          Planned pws)
-    in
-    let live =
-      match work with
-      | Units units -> units <> []
-      | Planned pws ->
-        List.exists (fun pw -> Array.exists Fun.id pw.pw_admit) pws
-    in
+    Option.iter
+      (fun names ->
+        List.iter
+          (fun pw ->
+            List.iteri
+              (fun i (g : Plan_ir.guarded) ->
+                if
+                  not
+                    (Prefilter.may_match
+                       ~requirements:g.Plan_ir.g_requirements ~names)
+                then begin
+                  pw.pw_admit.(i) <- false;
+                  skip g.Plan_ir.g_name
+                end)
+              pw.pw_plan.Plan_ir.p_guarded)
+          work)
+      message_names;
+    let live = List.exists (fun pw -> Array.exists Fun.id pw.pw_admit) work in
     let decode_ns =
       if not live then begin
         if not (Message.body_forced m) then Metrics.incr t.met.m_admission_scans;
@@ -1083,10 +987,10 @@ let prepare t ~acts ~now rid =
 (* Phase 1: evaluate all pertinent rules against the same snapshot,
    accumulating the pending update list. Runs WITHOUT [state_mu]; the
    host callbacks lock on demand, which is what lets several workers
-   evaluate CPU-heavy rules concurrently. Both paths report failures
-   inline at the failing rule's turn, so a later rule that reads the
-   error queue observes the routed error exactly as it would under
-   per-rule interpretation. *)
+   evaluate CPU-heavy rules concurrently. Failures are reported inline at
+   the failing rule's turn, so a later rule that reads the error queue
+   observes the routed error exactly as it would under per-rule
+   interpretation. *)
 let evaluate t txn blamed ~acts (m : Message.t) work =
   let fail rule rule_error_queue description =
     locked t (fun () ->
@@ -1095,82 +999,48 @@ let evaluate t txn blamed ~acts (m : Message.t) work =
           ?provenance:(error_prov t ~rule m)
           ~source_queue:m.Message.queue ~initial_message:(Message.body m) ())
   in
-  match work with
-  | Units units ->
-    List.concat_map
-      (fun eu ->
-        Metrics.incr t.met.m_rule_evaluations;
-        blamed := Some (eu.eu_rule, eu.eu_error_queue);
-        Option.iter Fault.before_eval t.fault;
-        let host = host_for t m ~slice_ctx:eu.eu_slice_ctx in
+  List.concat_map
+    (fun pw ->
+      if not (Array.exists Fun.id pw.pw_admit) then []
+      else begin
+        let host = host_for t m ~slice_ctx:pw.pw_slice_ctx in
         let env = Context.make ~host () in
         let env =
           { env with Context.item = Some (Value.Node (message_node t m)) }
         in
-        match Eval.eval_with_updates env eu.eu_body with
-        | _, updates ->
-          if Trace.enabled t.spans then
-            acts :=
-              {
-                Trace.a_rule = eu.eu_rule;
-                a_updates = List.length updates;
-                a_skipped = false;
-              }
-              :: !acts;
-          List.map
-            (fun u ->
-              ( { at_rule = eu.eu_rule;
-                  at_error_queue = eu.eu_error_queue;
-                  at_slice_ctx = eu.eu_slice_ctx },
-                u ))
-            updates
-        | exception Context.Eval_error description ->
-          fail eu.eu_rule eu.eu_error_queue description;
-          [])
-      units
-  | Planned pws ->
-    List.concat_map
-      (fun pw ->
-        if not (Array.exists Fun.id pw.pw_admit) then []
-        else begin
-          let host = host_for t m ~slice_ctx:pw.pw_slice_ctx in
-          let env = Context.make ~host () in
-          let env =
-            { env with Context.item = Some (Value.Node (message_node t m)) }
-          in
-          let tagged = ref [] in
-          Plan_ir.eval
-            ~admitted:(fun i _ -> pw.pw_admit.(i))
-            ~before:(fun (g : Plan_ir.guarded) ->
-              Metrics.incr t.met.m_rule_evaluations;
-              blamed := Some (g.Plan_ir.g_name, g.Plan_ir.g_error_queue);
-              Option.iter Fault.before_eval t.fault)
-            ~emit:(fun (g : Plan_ir.guarded) outcome ->
-              match outcome with
-              | Plan_ir.Updates updates ->
-                if Trace.enabled t.spans then
-                  acts :=
-                    {
-                      Trace.a_rule = g.Plan_ir.g_name;
-                      a_updates = List.length updates;
-                      a_skipped = false;
-                    }
-                    :: !acts;
-                let at =
+        let tagged = ref [] in
+        Plan_ir.eval
+          ~admitted:(fun i _ -> pw.pw_admit.(i))
+          ~before:(fun (g : Plan_ir.guarded) ->
+            Metrics.incr t.met.m_rule_evaluations;
+            blamed := Some (g.Plan_ir.g_name, g.Plan_ir.g_error_queue);
+            Option.iter Fault.before_eval t.fault)
+          ~emit:(fun (g : Plan_ir.guarded) outcome ->
+            match outcome with
+            | Plan_ir.Updates updates ->
+              if Trace.enabled t.spans then
+                acts :=
                   {
-                    at_rule = g.Plan_ir.g_name;
-                    at_error_queue = g.Plan_ir.g_error_queue;
-                    at_slice_ctx = pw.pw_slice_ctx;
+                    Trace.a_rule = g.Plan_ir.g_name;
+                    a_updates = List.length updates;
+                    a_skipped = false;
                   }
-                in
-                tagged :=
-                  List.fold_left (fun acc u -> (at, u) :: acc) !tagged updates
-              | Plan_ir.Failed description ->
-                fail g.Plan_ir.g_name g.Plan_ir.g_error_queue description)
-            env pw.pw_plan;
-          List.rev !tagged
-        end)
-      pws
+                  :: !acts;
+              let at =
+                {
+                  at_rule = g.Plan_ir.g_name;
+                  at_error_queue = g.Plan_ir.g_error_queue;
+                  at_slice_ctx = pw.pw_slice_ctx;
+                }
+              in
+              tagged :=
+                List.fold_left (fun acc u -> (at, u) :: acc) !tagged updates
+            | Plan_ir.Failed description ->
+              fail g.Plan_ir.g_name g.Plan_ir.g_error_queue description)
+          env pw.pw_plan;
+        List.rev !tagged
+      end)
+    work
 
 let process t rid =
   let tracing = Trace.enabled t.spans in
@@ -1214,7 +1084,7 @@ let process t rid =
      with
      | () -> ()
      | exception e ->
-       (* abort, release the locks, and — §3.6 — turn the failure into an
+       (* abort, undo, and — §3.6 — turn the failure into an
           error message rather than a wedged engine: route it and
           neutralize the trigger in a fresh transaction, then keep going *)
        if !t_evaled = t_locked then t_evaled := now ();

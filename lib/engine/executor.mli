@@ -37,16 +37,15 @@ module Flow = Demaq_obs.Flow
 
 type config = {
   merged_plans : bool;
-      (** evaluate the compiler's guarded plans (the default) instead of
-          interpreting rules one at a time; observationally equivalent,
-          including §3.6 error attribution *)
+      (** compile each target into one guarded plan (the default) instead
+          of one unguarded plan entry per rule; observationally
+          equivalent, including §3.6 error attribution *)
   footprint_dispatch : bool;
       (** partition dispatch on the compiled rules' static conflict
           footprints instead of whole queues: same-queue messages whose
           admitted rules touch disjoint resources run concurrently, at
           the cost of per-queue arrival order between them *)
   use_slice_index : bool;
-  lock_granularity : [ `Queue | `Slice ];
   use_prefilter : bool;
   trace_capacity : int;
   flow_tracing : bool;
@@ -177,8 +176,8 @@ val note_outgoing : t -> Message.t -> unit
 val queue_priority : t -> string -> int
 
 val resources_for : t -> Message.t -> string list
-(** The conflict resources the dispatcher partitions on: queue plus
-    slices per [lock_granularity], or — under [footprint_dispatch] — the
+(** The conflict resources the dispatcher partitions on: the queue plus
+    one resource per slice membership, or — under [footprint_dispatch] — the
     admitted rules' static conflict footprints from the compiled plan
     (membership slice resources always included; ⊤ expands to every
     declared queue). *)

@@ -33,7 +33,6 @@ type config = Executor.config = {
   merged_plans : bool;
   footprint_dispatch : bool;
   use_slice_index : bool;
-  lock_granularity : [ `Queue | `Slice ];
   use_prefilter : bool;
   trace_capacity : int;
   flow_tracing : bool;
@@ -68,7 +67,6 @@ let default_config =
     merged_plans = true;
     footprint_dispatch = false;
     use_slice_index = true;
-    lock_granularity = `Slice;
     use_prefilter = true;
     trace_capacity = 0;
     (* provenance is three small extra-blob fields per message and one
@@ -545,7 +543,9 @@ let deploy ?(config = default_config) ?time_source ?store:st ?network:net
   List.iter (Qm.add_property qm) (Qdl.properties program);
   List.iter (Qm.add_slicing qm) (Qdl.slicings program);
   Qm.rebuild_indexes qm;
-  let compiled = Compiler.compile ~optimize:config.optimize program in
+  let compiled =
+    Compiler.compile ~optimize:config.optimize ~merged:config.merged_plans program
+  in
   let net = match net with Some n -> n | None -> Network.create () in
   let ctx = Executor.create ~cfg:config ~qm ~st ~net ~compiled ~clk () in
   Store.instrument st ctx.Executor.reg;

@@ -15,8 +15,9 @@ type config = Executor.config = {
           bodies with per-rule guards, hoisted common subexpressions,
           shared guard evaluations (§4.4.1; benchmark B16). The default:
           observationally equivalent to per-rule interpretation, including
-          precise rule-level error attribution (§3.6). [false] interprets
-          rules one at a time (the reference semantics). *)
+          precise rule-level error attribution (§3.6). [false] compiles
+          one unguarded plan entry per rule: per-rule interpretation, the
+          reference semantics. *)
   footprint_dispatch : bool;
       (** partition dispatch on the compiled rules' static conflict
           footprints instead of whole queues: same-queue messages whose
@@ -26,9 +27,6 @@ type config = Executor.config = {
   use_slice_index : bool;
       (** serve [qs:slice()] from the materialized B-tree index rather than
           scanning the underlying queues (§4.3; benchmark B1) *)
-  lock_granularity : [ `Queue | `Slice ];
-      (** lock whole queues or individual slices per transaction (§4.3;
-          benchmark B3) *)
   use_prefilter : bool;
       (** skip evaluating rules whose condition requires element names the
           triggering message does not contain (XML filtering, §4.4.1;
@@ -76,7 +74,7 @@ type config = Executor.config = {
           default) runs inline on the calling thread and is deterministic:
           observable behaviour matches the single-threaded engine. More
           workers process conflict-free messages (different queues, or
-          different slices per [lock_granularity]) concurrently; per-queue
+          different slices of a slicing) concurrently; per-queue
           arrival order and exactly-once externalization are preserved.
           Defaults to [$DEMAQ_WORKERS] when set. *)
   metrics : bool;
@@ -263,7 +261,7 @@ type stats = {
   prefilter_skips : int;
   txn_aborts : int;
       (** transactions rolled back because an exception escaped — every one
-          of them released its locks and became an error message *)
+          of them was undone and became an error message *)
   transmit_retries : int;  (** transmission attempts beyond the first *)
   dead_letters : int;
       (** reliable messages given up on after the retry budget (or a

@@ -33,9 +33,10 @@
       conflict-resource strings and cached on the plan so the executor
       never recomputes them per dispatch.
 
-   The legacy single-sequence [merged] expression (benchmark B2) is still
-   built; the engine's execution artifact is the guarded
-   {!Demaq_xquery.Plan.t}. *)
+   The execution artifact is the guarded {!Demaq_xquery.Plan.t}. Without
+   [merged] (or without [optimize]) passes 2-4 are skipped and each rule
+   becomes one unguarded plan entry: per-rule interpretation, the
+   reference semantics the guarded plan is tested against. *)
 
 module Ast = Demaq_xquery.Ast
 module Value = Demaq_xquery.Value
@@ -76,8 +77,7 @@ type plan = {
   on_slicing : bool;
   rules : compiled_rule list;  (* surviving rules, declaration order *)
   pruned : (string * string) list;  (* statically dead: name, reason *)
-  merged : Ast.expr;  (* all rule bodies as one sequence *)
-  exec : Plan_ir.t;  (* the guarded execution plan *)
+  exec : Plan_ir.t;  (* the execution plan: guarded, or one entry per rule *)
   footprints : footprint list;  (* aligned with [exec.p_guarded] *)
   conflicts : (string list * conflict) array;
       (* per guarded rule: (pre-filter requirements, conflict resources) —
@@ -164,42 +164,6 @@ let supply_queue_default queue expr =
         Ast.Call (f, [ Ast.Literal (Value.String queue) ])
       | e -> e)
     expr
-
-(* Group [if (c) then a_i else b_i] bodies by structurally equal condition,
-   preserving the first-occurrence order of conditions and the relative
-   order of the actions under each. Rules are independent ECA reactions,
-   so reordering whole rule bodies is sound; the pending-update order
-   within one rule is preserved. *)
-let factor_conditions bodies =
-  let groups : (Ast.expr option * Ast.expr list ref) list ref = ref [] in
-  let condition_of = function
-    | Ast.If (c, _, _) -> Some c
-    | _ -> None
-  in
-  List.iter
-    (fun body ->
-      let cond = condition_of body in
-      match List.find_opt (fun (c, _) -> c = cond && c <> None) !groups with
-      | Some (_, bucket) -> bucket := body :: !bucket
-      | None -> groups := !groups @ [ (cond, ref [ body ]) ])
-    bodies;
-  let merged_group (cond, bucket) =
-    match cond, List.rev !bucket with
-    | Some c, (_ :: _ :: _ as members) ->
-      (* several rules share the condition: evaluate it once *)
-      let thens = List.map (function Ast.If (_, t, _) -> t | e -> e) members in
-      let elses =
-        List.filter_map
-          (function Ast.If (_, _, Ast.Empty_seq) -> None | Ast.If (_, _, e) -> Some e | _ -> None)
-          members
-      in
-      let else_branch =
-        match elses with [] -> Ast.Empty_seq | es -> Ast.Sequence es
-      in
-      [ Ast.If (c, Ast.Sequence thens, else_branch) ]
-    | _, members -> members
-  in
-  Ast.Sequence (List.concat_map merged_group !groups)
 
 (* ---- expression classification for hoisting and guard sharing ---- *)
 
@@ -585,7 +549,19 @@ let build_exec ~on_slicing rules =
   in
   { Plan_ir.p_bindings = bindings; p_guarded = guarded; p_n_guards = !next_id }
 
-let finish_plan ~queues target plan =
+(* One unguarded entry per rule, in declaration order: per-rule
+   interpretation expressed as a plan. *)
+let per_rule_exec ~on_slicing rules =
+  Plan_ir.of_rules
+    (List.map
+       (fun cr ->
+         ( cr.cr_name,
+           cr.cr_error_queue,
+           cr.cr_body,
+           if on_slicing then [] else cr.cr_requirements ))
+       rules)
+
+let finish_plan ~queues ~merged target plan =
   (* pass 1: unsatisfiability pruning against the target queue's schema *)
   let vocabulary =
     if plan.on_slicing then Prefilter.Open_vocabulary
@@ -602,7 +578,10 @@ let finish_plan ~queues target plan =
         | Some reason -> Right (cr.cr_name, reason))
       plan.rules
   in
-  let exec = build_exec ~on_slicing:plan.on_slicing kept in
+  let exec =
+    if merged then build_exec ~on_slicing:plan.on_slicing kept
+    else per_rule_exec ~on_slicing:plan.on_slicing kept
+  in
   let footprints = List.map (fun cr -> footprint_of cr.cr_body) kept in
   let conflicts =
     Array.of_list
@@ -628,7 +607,6 @@ let empty_plan target on_slicing =
     on_slicing;
     rules = [];
     pruned = [];
-    merged = Ast.Empty_seq;
     exec = Plan_ir.of_rules [];
     footprints = [];
     conflicts = [||];
@@ -636,7 +614,7 @@ let empty_plan target on_slicing =
     queue_resource = "q:" ^ target;
   }
 
-let compile ?(optimize = true) (program : Qdl.program) : t =
+let compile ?(optimize = true) ?(merged = true) (program : Qdl.program) : t =
   let slicing_names = List.map (fun s -> s.Defs.sname) (Qdl.slicings program) in
   let properties = Qdl.properties program in
   let queues = Qdl.queues program in
@@ -663,41 +641,11 @@ let compile ?(optimize = true) (program : Qdl.program) : t =
       in
       Hashtbl.replace plans target plan)
     (Qdl.rules program);
-  (* Plan passes per target. The merged expression factors identical
-     conditions: §3.3 makes every rule body a conditional expression
-     precisely "to facilitate the detection and optimization of conditions
-     by the rule compiler". *)
-  Hashtbl.iter
-    (fun target plan ->
-      let plan = if optimize then finish_plan ~queues target plan else plan in
-      let plan =
-        if optimize then plan
-        else
-          (* keep rule bodies verbatim: a trivial guarded plan with
-             per-rule semantics and whole-body footprints *)
-          let exec =
-            Plan_ir.of_rules
-              (List.map
-                 (fun cr -> (cr.cr_name, cr.cr_error_queue, cr.cr_body, []))
-                 plan.rules)
-          in
-          let footprints = List.map (fun cr -> footprint_of cr.cr_body) plan.rules in
-          let conflicts =
-            Array.of_list
-              (List.map (fun fp -> ([], conflict_of fp)) footprints)
-          in
-          { plan with
-            exec;
-            footprints;
-            conflicts;
-            conflict_union =
-              union_conflicts (Array.to_list (Array.map snd conflicts)) }
-      in
-      let merged =
-        if optimize then factor_conditions (List.map (fun r -> r.cr_body) plan.rules)
-        else Ast.Sequence (List.map (fun r -> r.cr_body) plan.rules)
-      in
-      Hashtbl.replace plans target { plan with merged })
+  (* Plan passes per target. Unoptimized rules carry no pre-filter
+     requirements, so pruning keeps them all. *)
+  let merged = optimize && merged in
+  Hashtbl.filter_map_inplace
+    (fun target plan -> Some (finish_plan ~queues ~merged target plan))
     plans;
   {
     plans;

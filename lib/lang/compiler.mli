@@ -28,9 +28,8 @@
       (⊤ for dynamic queue names), lowered to dispatcher resource strings
       and cached on the plan as the dispatch template.
 
-    The legacy single-sequence [merged] expression (benchmark B2, with
-    shared-condition factoring) is still built; the engine executes the
-    guarded {!Demaq_xquery.Plan.t}. *)
+    The engine executes the guarded {!Demaq_xquery.Plan.t}; it is the
+    only execution artifact. *)
 
 type compiled_rule = {
   cr_name : string;
@@ -66,8 +65,9 @@ type plan = {
   rules : compiled_rule list;  (** surviving rules, declaration order *)
   pruned : (string * string) list;
       (** statically dead rules: (name, reason) *)
-  merged : Demaq_xquery.Ast.expr;  (** the legacy single merged plan *)
-  exec : Demaq_xquery.Plan.t;  (** the guarded execution plan *)
+  exec : Demaq_xquery.Plan.t;
+      (** the execution plan: guarded, or one entry per rule without
+          [merged] *)
   footprints : footprint list;  (** aligned with [exec]'s guarded rules *)
   conflicts : (string list * conflict) array;
       (** per guarded rule: (pre-filter requirements, conflict resources)
@@ -78,10 +78,13 @@ type plan = {
 
 type t
 
-val compile : ?optimize:bool -> Qdl.program -> t
-(** [optimize:false] keeps rule bodies verbatim (benchmarks B2/B8): no
-    rewrites, no pruning, no hoisting; the guarded plan then has exactly
-    per-rule semantics. *)
+val compile : ?optimize:bool -> ?merged:bool -> Qdl.program -> t
+(** [merged:false] skips guard splitting, hoisting and guard sharing: each
+    rule becomes one unguarded plan entry, evaluated in declaration
+    order — per-rule interpretation, the reference semantics the guarded
+    plan is tested against (benchmarks B2/B16). [optimize:false] also
+    keeps rule bodies verbatim (benchmark B8): no rewrites, no pruning,
+    and the plan is per-rule as with [merged:false]. *)
 
 val plan_for : t -> string -> plan option
 val plans : t -> plan list
@@ -103,6 +106,3 @@ val explain : t -> string
 val footprint_to_string : footprint -> string
 val conflict_to_string : conflict -> string
 
-val factor_conditions : Demaq_xquery.Ast.expr list -> Demaq_xquery.Ast.expr
-(** Merge rule bodies, evaluating structurally identical top-level
-    conditions once. Exposed for tests. *)

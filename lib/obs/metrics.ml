@@ -404,13 +404,22 @@ let fmt_float v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.9g" v
 
-let labeled name label_kv =
-  match String.index_opt name '{' with
-  | Some i ->
-    (* splice into the existing label set *)
-    String.sub name 0 i ^ "{" ^ label_kv ^ ","
-    ^ String.sub name (i + 1) (String.length name - i - 1)
-  | None -> name ^ "{" ^ label_kv ^ "}"
+(* The sample name for one series of [name]'s family: [suffix] goes on
+   the family, [extra] joins the end of the label set, so
+   [series "h{queue=\"q\"}" "_bucket" "le=\"1\""] is
+   [h_bucket{queue="q",le="1"}]. *)
+let series name suffix extra =
+  let labels =
+    match String.index_opt name '{' with
+    | Some i -> String.sub name (i + 1) (String.length name - i - 2)
+    | None -> ""
+  in
+  family name ^ suffix
+  ^
+  match labels, extra with
+  | "", "" -> ""
+  | l, "" | "", l -> "{" ^ l ^ "}"
+  | l, e -> "{" ^ l ^ "," ^ e ^ "}"
 
 let render_sample buf seen sample =
   let header name kind help =
@@ -434,13 +443,14 @@ let render_sample buf seen sample =
       (fun (le, cumulative) ->
         Buffer.add_string buf
           (Printf.sprintf "%s %d\n"
-             (labeled (name ^ "_bucket") (Printf.sprintf "le=\"%s\"" (fmt_float le)))
+             (series name "_bucket" (Printf.sprintf "le=\"%s\"" (fmt_float le)))
              cumulative))
       buckets;
     Buffer.add_string buf
-      (Printf.sprintf "%s %d\n" (labeled (name ^ "_bucket") "le=\"+Inf\"") count);
-    Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" name (fmt_float sum));
-    Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name count)
+      (Printf.sprintf "%s %d\n" (series name "_bucket" "le=\"+Inf\"") count);
+    Buffer.add_string buf
+      (Printf.sprintf "%s %s\n" (series name "_sum" "") (fmt_float sum));
+    Buffer.add_string buf (Printf.sprintf "%s %d\n" (series name "_count" "") count)
 
 let render reg =
   let buf = Buffer.create 4096 in

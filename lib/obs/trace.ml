@@ -25,7 +25,7 @@ type span = {
   sp_worker : int;  (* metrics shard of the processing domain; 0 = main *)
   sp_start_ns : int;  (* wall clock at setup start; 0 when timing is off *)
   sp_wait_ns : int;  (* enqueue/schedule -> dispatch queueing delay *)
-  sp_lock_ns : int;  (* setup: fetch + lock acquisition + plan lookup *)
+  sp_lock_ns : int;  (* setup under the state lock: fetch + txn + plan lookup *)
   sp_decode_ns : int;  (* lazy payload decode within setup (a sub-interval
                           of [sp_lock_ns]; 0 when admission resolved from
                           the payload synopsis without materializing) *)

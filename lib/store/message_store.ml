@@ -43,7 +43,6 @@ type t = {
   messages : (int, message) Hashtbl.t;
   queues : (string, int Vec.t) Hashtbl.t;
   slice_lifetimes : (string * string, int) Hashtbl.t;
-  lock_mgr : Lock_manager.t;
   mutable next_rid : int;
   mutable next_txn : int;
   mutable checkpoints : int;
@@ -83,8 +82,6 @@ let store_payload t s =
     | Some heap -> Spilled (Heap_file.insert heap s, String.length s)
     | None -> Inline s
   else Inline s
-
-let locks t = t.lock_mgr
 
 let queue_vec t queue =
   match Hashtbl.find_opt t.queues queue with
@@ -272,7 +269,6 @@ let open_store config =
       messages = Hashtbl.create 1024;
       queues = Hashtbl.create 16;
       slice_lifetimes = Hashtbl.create 64;
-      lock_mgr = Lock_manager.create ();
       next_rid = 1;
       next_txn = 1;
       checkpoints = 0;
@@ -330,8 +326,6 @@ let begin_txn t =
   let id = t.next_txn in
   t.next_txn <- id + 1;
   { id; store = t; ops = []; undo = []; finished = false }
-
-let txn_id txn = txn.id
 
 let check_active txn =
   if txn.finished then invalid_arg "transaction already finished"
@@ -401,8 +395,7 @@ let commit txn =
         pending, so the commit is already hardened *)
      if t.config.sync <> Wal.Sync_never && Wal.pending_records wal = 0 then
        t.durable_txn <- txn.id
-   | _ -> ());
-  Lock_manager.release_all t.lock_mgr ~txn:txn.id
+   | _ -> ())
 
 (* ---- group commit ---- *)
 
@@ -430,8 +423,7 @@ let wal_group_syncs t =
 let abort txn =
   check_active txn;
   txn.finished <- true;
-  List.iter (fun undo -> undo ()) txn.undo;
-  Lock_manager.release_all txn.store.lock_mgr ~txn:txn.id
+  List.iter (fun undo -> undo ()) txn.undo
 
 (* ---- reads ---- *)
 

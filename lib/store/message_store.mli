@@ -60,14 +60,12 @@ val payload : t -> message -> string
     was spilled to the heap file. *)
 
 val close : t -> unit
-val locks : t -> Lock_manager.t
 
 (** {1 Transactions} *)
 
 type txn
 
 val begin_txn : t -> txn
-val txn_id : txn -> int
 
 val insert :
   txn -> queue:string -> payload:string -> extra:string -> enqueued_at:int ->
@@ -103,7 +101,7 @@ val barrier : t -> bool
 
 val durable_upto : t -> int
 (** The highest transaction id known hardened on disk: every transaction
-    with [txn_id <= durable_upto] survives a crash. Always 0 for in-memory
+    with an id [<= durable_upto] survives a crash. Always 0 for in-memory
     or [Sync_never] stores. *)
 
 val unsynced_commits : t -> int

@@ -17,9 +17,6 @@ let error st msg = raise (Parse_error { line = st.line; col = st.col; msg })
 let at_end st = st.pos >= String.length st.src
 let peek st = if at_end st then '\000' else st.src.[st.pos]
 
-let peek2 st =
-  if st.pos + 1 >= String.length st.src then '\000' else st.src.[st.pos + 1]
-
 let advance st =
   if not (at_end st) then begin
     (if st.src.[st.pos] = '\n' then begin
@@ -398,8 +395,9 @@ and parse_content st env =
 
 let parse_prolog st =
   skip_space st;
-  if looking_at st "<?xml" && (is_space (st.src.[st.pos + 5]) || peek2 st = '?')
-  then ignore (read_pi st);
+  (* the XML declaration, or any PI whose target starts with "xml"; a
+     truncated one is an unterminated PI, reported by [read_pi] *)
+  if looking_at st "<?xml" then ignore (read_pi st);
   let rec misc () =
     skip_space st;
     if looking_at st "<!--" then begin

@@ -2,14 +2,12 @@
    engine. The contract under test is the one §3.1/§3.6 imply together:
    whatever goes wrong while a message is processed — evaluator exceptions,
    failures while pending updates are applied, torn WAL tails, abrupt
-   restarts, partitioned endpoints — the transaction aborts cleanly, all
-   locks are released, the failure becomes an error message, and the engine
-   keeps running. *)
+   restarts, partitioned endpoints — the transaction aborts cleanly, the
+   failure becomes an error message, and the engine keeps running. *)
 
 module Tree = Demaq.Xml.Tree
 module Store = Demaq.Store.Message_store
 module Wal = Demaq.Store.Wal
-module Lock = Demaq.Store.Lock_manager
 module Message = Demaq.Message
 module Net = Demaq.Network
 module S = Demaq.Server
@@ -31,8 +29,6 @@ let inject_ok ?props srv queue payload =
   match S.inject srv ?props ~queue (xml payload) with
   | Ok m -> m
   | Error e -> Alcotest.failf "inject: %s" (Demaq.Mq.Queue_manager.error_to_string e)
-
-let active_locks srv = Lock.active_locks (Store.locks (S.store srv))
 
 let fresh_dir tag =
   let dir =
@@ -67,7 +63,6 @@ let test_eval_fault_aborts () =
   ignore (S.run srv);
   check int_ "fault fired once" 1 (Fault.injected f);
   check bool_ "transaction aborted" true ((S.stats srv).S.txn_aborts >= 1);
-  check int_ "lock table empty" 0 (active_locks srv);
   check int_ "failure became an error message" 1 (List.length (bodies srv "errs"));
   (* the faulted message produced nothing; the next one went through *)
   check bool_ "engine kept running" true (bodies srv "out" = [ "<pong>fine</pong>" ]);
@@ -97,7 +92,6 @@ let test_apply_fault_rolls_back () =
   check int_ "first enqueue rolled back with the second" 0
     (List.length (bodies srv "out"));
   check int_ "error routed" 1 (List.length (bodies srv "errs"));
-  check int_ "lock table empty" 0 (active_locks srv);
   (* disarmed, the same input processes normally *)
   Fault.disarm f;
   ignore (inject_ok srv "in" "<ping/>");
@@ -106,8 +100,7 @@ let test_apply_fault_rolls_back () =
 
 let test_flaky_evaluator_drains () =
   (* Random evaluator failures under load: every abort routes an error and
-     nothing wedges — the agenda still drains and the lock table ends
-     empty. *)
+     nothing wedges — the agenda still drains. *)
   let srv = S.deploy ping_pong in
   let f = Fault.create ~seed:7 () in
   Fault.set_eval_failure_rate f 0.3;
@@ -123,7 +116,6 @@ let test_flaky_evaluator_drains () =
     (List.length (bodies srv "errs"));
   check int_ "survivors all produced output" (40 - Fault.injected f)
     (List.length (bodies srv "out"));
-  check int_ "lock table empty" 0 (active_locks srv);
   check int_ "agenda drained" 0 (S.pending_messages srv)
 
 (* ---- transmission retry and dead-lettering ---- *)
@@ -225,7 +217,6 @@ let test_crash_restart_exactly_once () =
   ignore (S.run srv2);
   check bool_ "both pongs exactly once" true
     (List.sort compare (bodies srv2 "out") = [ "<pong>a</pong>"; "<pong>b</pong>" ]);
-  check int_ "lock table empty" 0 (active_locks srv2);
   Store.close st2
 
 let test_torn_wal_tail () =
@@ -406,7 +397,6 @@ let test_group_commit_crash_restart_exactly_once () =
   ignore (S.run srv2);
   check bool_ "committed work exactly once, torn inject gone" true
     (List.sort compare (bodies srv2 "out") = [ "<pong>a</pong>"; "<pong>b</pong>" ]);
-  check int_ "lock table empty" 0 (active_locks srv2);
   Store.close st2
 
 (* ---- multi-worker pool (PR 3) ----
@@ -445,7 +435,6 @@ let test_multi_worker_crash_restart_exactly_once () =
   in
   check bool_ "12 pongs exactly once, torn inject gone" true
     (List.sort compare (bodies srv2 "out") = expected);
-  check int_ "lock table empty" 0 (active_locks srv2);
   check int_ "idle afterwards" 0 (S.run srv2);
   Store.close st2
 
@@ -475,7 +464,6 @@ let test_multi_worker_barrier_before_transmission () =
   ignore (S.run srv);
   check int_ "all deliveries arrived" 40 !received;
   check int_ "no delivery ever saw an unsynced commit" 0 !max_exposure;
-  check int_ "lock table empty" 0 (active_locks srv);
   let per_worker = S.worker_stats srv in
   check int_ "stats row per worker" 4 (List.length per_worker);
   check int_ "worker counters account for all processed"

@@ -690,14 +690,6 @@ let test_evolution_preserves_timers () =
   check int_ "timer fired after evolution" 1 (List.length (bodies srv "alerts"));
   check int_ "new rule saw the timeout" 1 (List.length (bodies srv "audit"))
 
-let test_queue_lock_granularity_config () =
-  (* queue-level locking config executes correctly (bookkeeping path) *)
-  let cfg = { S.default_config with S.lock_granularity = `Queue } in
-  let srv = S.deploy ~config:cfg ping_pong in
-  ignore (inject_ok srv "in" "<ping>q</ping>");
-  ignore (S.run srv);
-  check bool_ "processed under queue locks" true (bodies srv "out" = [ "<pong>q</pong>" ])
-
 let test_pending_messages_counter () =
   let srv = S.deploy ping_pong in
   ignore (inject_ok srv "in" "<ping>1</ping>");
@@ -739,7 +731,6 @@ let suite =
       ("merged plans with slicing program", `Quick, test_merged_plans_with_slicing_program);
       ("error message schema (Fig. 10 shape)", `Quick, test_error_message_schema);
       ("evolution preserves timers", `Quick, test_evolution_preserves_timers);
-      ("queue lock granularity config", `Quick, test_queue_lock_granularity_config);
       ("pending message counter", `Quick, test_pending_messages_counter);
       ("inherited properties through echo", `Quick, test_inherited_props_through_echo);
     ]

@@ -276,6 +276,13 @@ let test_ingress_enqueue () =
       (* malformed XML *)
       let status, _ = Http.post ~port "/enqueue/orders" "<order" in
       check int_ "400 bad xml" 400 (Http.status_code status);
+      (* a truncated declaration is malformed too, not a 500 *)
+      List.iter
+        (fun body ->
+          let status, _ = Http.post ~port "/enqueue/orders" body in
+          check int_ (Printf.sprintf "400 for %S" body) 400
+            (Http.status_code status))
+        [ "<?xml"; "  <?xml" ];
       (* unknown queue *)
       let status, _ = Http.post ~port "/enqueue/nothere" "<x/>" in
       check int_ "404 unknown queue" 404 (Http.status_code status);

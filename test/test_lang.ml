@@ -295,8 +295,6 @@ let test_compiler_groups_rules () =
   in
   let pa = Option.get (Compiler.plan_for c "a") in
   check int_ "two rules on a" 2 (List.length pa.Compiler.rules);
-  check bool_ "merged is a sequence of both" true
-    (match pa.Compiler.merged with Ast.Sequence [ _; _ ] -> true | _ -> false);
   check bool_ "no plan for ghost" true (Compiler.plan_for c "ghost" = None)
 
 let test_compiler_queue_default () =
@@ -423,24 +421,3 @@ let suite =
       ("explain output", `Quick, test_explain);
     ]
 
-let test_condition_factoring () =
-  let c =
-    compile
-      {|create queue a kind basic mode persistent
-        create queue b kind basic mode persistent
-        create rule r1 for a if (//x) then do enqueue <a1/> into b
-        create rule r2 for a if (//x) then do enqueue <a2/> into b else do enqueue <e2/> into b
-        create rule r3 for a if (//y) then do enqueue <a3/> into b|}
-  in
-  let plan = Option.get (Compiler.plan_for c "a") in
-  (* r1 and r2 share the condition //x: the merged plan evaluates it once *)
-  match plan.Compiler.merged with
-  | Ast.Sequence [ Ast.If (_, Ast.Sequence [ _; _ ], els); Ast.If (_, _, _) ] ->
-    (match els with
-     | Ast.Sequence [ _ ] -> ()
-     | Ast.Empty_seq -> Alcotest.fail "else branch of r2 lost"
-     | _ -> Alcotest.fail "unexpected else shape")
-  | other ->
-    Alcotest.failf "unexpected merged shape: %s" (Pp.to_string other)
-
-let suite = suite @ [ ("compiler factors shared conditions", `Quick, test_condition_factoring) ]

@@ -15,6 +15,7 @@ let () =
       ("mq", Test_mq.suite);
       ("lang", Test_lang.suite);
       ("plan", Test_plan.suite);
+      ("equivalence", Test_equivalence.suite);
       ("engine", Test_engine.suite);
       ("crash", Test_crash.suite);
       ("procurement", Test_procurement.suite);

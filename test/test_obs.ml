@@ -188,6 +188,30 @@ let test_timing_gate () =
 
 (* ---- exposition / render ---- *)
 
+(* A histogram registered under a labelled name renders as valid
+   Prometheus text: the suffix on the family, the labels kept, [le]
+   last. *)
+let test_labelled_histogram_exposition () =
+  let reg = M.create ~shards:1 () in
+  let h =
+    M.histogram reg "demaq_queue_wait_seconds{queue=\"q\"}" ~help:"wait"
+      ~shift:(-1) ~scale:1.
+  in
+  M.observe h 3;
+  let lines = String.split_on_char '\n' (M.render reg) in
+  List.iter
+    (fun l -> check bool_ l true (List.mem l lines))
+    [
+      "# TYPE demaq_queue_wait_seconds histogram";
+      "demaq_queue_wait_seconds_bucket{queue=\"q\",le=\"2\"} 0";
+      "demaq_queue_wait_seconds_bucket{queue=\"q\",le=\"4\"} 1";
+      "demaq_queue_wait_seconds_bucket{queue=\"q\",le=\"+Inf\"} 1";
+      "demaq_queue_wait_seconds_sum{queue=\"q\"} 3";
+      "demaq_queue_wait_seconds_count{queue=\"q\"} 1";
+    ];
+  check bool_ "no suffix after a label set" false
+    (List.exists (fun l -> contains l "}_") lines)
+
 (* first "<name> <value>" line of the exposition, as an int *)
 let scrape_int exposition name =
   let prefix = name ^ " " in
@@ -436,7 +460,7 @@ let test_flow_metrics_exposition () =
   (* queue-wait histograms: per-queue series, with HELP/TYPE on the
      label-free family name *)
   check bool_ "wait histogram present" true
-    (contains ex "demaq_queue_wait_seconds{queue=");
+    (contains ex "demaq_queue_wait_seconds_count{queue=");
   check bool_ "wait family typed" true
     (contains ex "# TYPE demaq_queue_wait_seconds histogram");
   (* span-ring drop accounting: 5 pings -> 10 spans, capacity 2 *)
@@ -583,6 +607,8 @@ let suite =
     Alcotest.test_case "unbound domain falls back to shard 0" `Quick
       test_unbound_domain_falls_back_to_shard_zero;
     Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
+    Alcotest.test_case "labelled histogram exposition" `Quick
+      test_labelled_histogram_exposition;
     Alcotest.test_case "percentiles" `Quick test_percentiles;
     Alcotest.test_case "timing gate" `Quick test_timing_gate;
     Alcotest.test_case "exposition round-trips Server.stats" `Quick

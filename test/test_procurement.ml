@@ -177,7 +177,7 @@ type world = {
   supplier_accepts : bool ref;
 }
 
-let make_world () =
+let make_world ?config () =
   let net = Net.create () in
   let customer_inbox = ref [] in
   let postal_inbox = ref [] in
@@ -194,7 +194,7 @@ let make_world () =
   Net.register net ~name:"postalService" ~handler:(fun ~sender:_ body ->
       postal_inbox := !postal_inbox @ [ body ];
       []);
-  let srv = S.deploy ~network:net program in
+  let srv = S.deploy ?config ~network:net program in
   S.bind_gateway srv ~queue:"supplier" ~endpoint:"supplier" ~replies_to:"supplierIn" ();
   S.bind_gateway srv ~queue:"customer" ~endpoint:"customer" ();
   S.bind_gateway srv ~queue:"postalService" ~endpoint:"postalService" ();

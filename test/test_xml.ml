@@ -120,7 +120,12 @@ let test_parse_errors () =
   fails "no markup";
   fails "<a>&unknown;</a>";
   fails "<a></a><b></b>";
-  fails "<a foo></a>"
+  fails "<a foo></a>";
+  (* a truncated declaration must be an [Error], not an escaped
+     out-of-bounds read *)
+  fails "<?xml";
+  fails "  <?xml";
+  fails "<?xml?"
 
 let test_parse_error_position () =
   match Parser.parse_result "<a>\n<b></c>\n</a>" with
