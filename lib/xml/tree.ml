@@ -68,11 +68,12 @@ let rec equal_tree a b =
 
 type document = { id : int; roots : tree list }
 
-let doc_counter = ref 0
+(* Documents are created concurrently by workers' evaluation phases
+   (constructors, [qs:message()]), so the id counter must be atomic: two
+   documents sharing an id would compare as the same node. *)
+let doc_counter = Atomic.make 1
 
-let doc_of_forest roots =
-  incr doc_counter;
-  { id = !doc_counter; roots }
+let doc_of_forest roots = { id = Atomic.fetch_and_add doc_counter 1; roots }
 
 let doc t = doc_of_forest [ t ]
 let doc_id d = d.id
@@ -104,10 +105,17 @@ let child_trees n =
   | Ftree (Element e) -> e.children
   | Ftree (Text _ | Comment _ | Pi _) | Fattribute _ -> []
 
-let children n =
-  List.mapi
-    (fun i t -> { ndoc = n.ndoc; rpath = Child i :: n.rpath; nfocus = Ftree t })
-    (child_trees n)
+let children_where keep n =
+  let rec go i = function
+    | [] -> []
+    | t :: rest ->
+      if keep t then
+        { ndoc = n.ndoc; rpath = Child i :: n.rpath; nfocus = Ftree t } :: go (i + 1) rest
+      else go (i + 1) rest
+  in
+  go 0 (child_trees n)
+
+let children n = children_where (fun _ -> true) n
 
 let attributes n =
   match n.nfocus with
@@ -144,9 +152,32 @@ let parent n =
     let nfocus = resolve_path n.ndoc up in
     Some { ndoc = n.ndoc; rpath = up; nfocus }
 
-let rec descendants n =
-  List.concat_map (fun c -> c :: descendants c) (children n)
+(* One pre-order walk over the subtrees below [n]. A node handle is built
+   only for the trees [keep] accepts; the path of an element is built only
+   when the walk descends into its children. *)
+let descendants_where keep n =
+  let ndoc = n.ndoc in
+  let rec walk rpath trees i acc =
+    match trees with
+    | [] -> acc
+    | t :: rest ->
+      let kids =
+        match t with Element e -> e.children | Text _ | Comment _ | Pi _ -> []
+      in
+      let hit = keep t in
+      let acc =
+        if hit || kids <> [] then begin
+          let rpath' = Child i :: rpath in
+          let acc = if hit then { ndoc; rpath = rpath'; nfocus = Ftree t } :: acc else acc in
+          walk rpath' kids 0 acc
+        end
+        else acc
+      in
+      walk rpath rest (i + 1) acc
+  in
+  List.rev (walk n.rpath (child_trees n) 0 [])
 
+let descendants n = descendants_where (fun _ -> true) n
 let descendant_or_self n = n :: descendants n
 
 let node_name n =
@@ -165,26 +196,48 @@ let string_value n =
 let is_element n = match n.nfocus with Ftree (Element _) -> true | _ -> false
 let is_text n = match n.nfocus with Ftree (Text _) -> true | _ -> false
 
-let step_rank = function Attr i -> (0, i) | Child i -> (1, i)
+(* A node's forward path from the document node as integer keys, where an
+   element's attributes ([min_int + i]) sort before its children ([i]). *)
+let path_key n =
+  let len = List.length n.rpath in
+  let key = Array.make len 0 in
+  List.iteri
+    (fun k s -> key.(len - 1 - k) <- (match s with Attr i -> min_int + i | Child i -> i))
+    n.rpath;
+  key
+
+(* Lexicographic; a prefix (an ancestor) sorts first. *)
+let compare_keys ka kb =
+  let la = Array.length ka and lb = Array.length kb in
+  let rec go k =
+    if k = la then if k = lb then 0 else -1
+    else if k = lb then 1
+    else
+      let c = Int.compare ka.(k) kb.(k) in
+      if c <> 0 then c else go (k + 1)
+  in
+  go 0
 
 let doc_order a b =
-  let c = compare a.ndoc.id b.ndoc.id in
-  if c <> 0 then c
-  else
-    (* Compare forward paths lexicographically; a prefix (ancestor) sorts
-       first, and attributes sort before children of the same element. *)
-    let rec cmp xs ys =
-      match xs, ys with
-      | [], [] -> 0
-      | [], _ -> -1
-      | _, [] -> 1
-      | x :: xs', y :: ys' ->
-        let c = compare (step_rank x) (step_rank y) in
-        if c <> 0 then c else cmp xs' ys'
-    in
-    cmp (List.rev a.rpath) (List.rev b.rpath)
+  let c = Int.compare a.ndoc.id b.ndoc.id in
+  if c <> 0 then c else compare_keys (path_key a) (path_key b)
 
 let same_node a b = doc_order a b = 0
+
+(* Each node's key is built once, not once per comparison. *)
+let doc_order_uniq = function
+  | ([] | [ _ ]) as l -> l
+  | nodes ->
+    let cmp (ka, a) (kb, b) =
+      let c = Int.compare a.ndoc.id b.ndoc.id in
+      if c <> 0 then c else compare_keys ka kb
+    in
+    let rec dedup = function
+      | x :: (y :: _ as rest) when cmp x y = 0 -> dedup rest
+      | (_, n) :: rest -> n :: dedup rest
+      | [] -> []
+    in
+    dedup (List.stable_sort cmp (List.map (fun n -> (path_key n, n)) nodes))
 
 let node_tree n =
   match n.nfocus with

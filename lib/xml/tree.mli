@@ -75,6 +75,10 @@ val children : node -> node list
 (** Child nodes (elements, text, comments, PIs), in document order.
     Attribute nodes are not children; see {!attributes}. *)
 
+val children_where : (tree -> bool) -> node -> node list
+(** [children_where keep n] is the children of [n] whose subtree [keep]
+    accepts, building a node handle only for those. *)
+
 val attributes : node -> node list
 val parent : node -> node option
 val descendants : node -> node list
@@ -82,6 +86,11 @@ val descendants : node -> node list
     nodes are never returned by the descendant axis. *)
 
 val descendant_or_self : node -> node list
+
+val descendants_where : (tree -> bool) -> node -> node list
+(** [descendants_where keep n] is the descendants of [n] whose subtree
+    [keep] accepts, in document order, computed in one pre-order walk that
+    builds a node handle only for the accepted ones. *)
 
 val node_name : node -> Name.t option
 val string_value : node -> string
@@ -92,6 +101,9 @@ val same_node : node -> node -> bool
 val doc_order : node -> node -> int
 (** Total order: document id, then position; attributes of an element sort
     after the element and before its children. *)
+
+val doc_order_uniq : node list -> node list
+(** Sort into {!doc_order} and drop duplicates ({!same_node}). *)
 
 val node_tree : node -> tree option
 (** The subtree at the node, if it is an element/text/comment/PI node. For a

@@ -88,26 +88,47 @@ let tree_of_node n =
   | Some t -> t
   | None -> Tree.Text (Tree.string_value n)
 
-let axis_nodes axis n =
-  match axis with
-  | Child -> Tree.children n
-  | Descendant -> Tree.descendants n
-  | Descendant_or_self -> Tree.descendant_or_self n
-  | Self -> [ n ]
-  | Parent -> (match Tree.parent n with Some p -> [ p ] | None -> [])
-  | Attribute -> Tree.attributes n
+let test_tree test (t : Tree.tree) =
+  match test, t with
+  | Node_kind_test, _ -> true
+  | Wildcard, Tree.Element _ -> true
+  | Text_test, Tree.Text _ -> true
+  | Comment_test, Tree.Comment _ -> true
+  | Name_test local, Tree.Element e -> String.equal (Name.local e.Tree.name) local
+  | (Wildcard | Text_test | Comment_test | Name_test _), _ -> false
 
 let test_node test n =
-  match test with
-  | Node_kind_test -> true
-  | Wildcard -> Tree.is_element n || (match Tree.focus n with Tree.Fattribute _ -> true | _ -> false)
-  | Text_test -> Tree.is_text n
-  | Comment_test -> (match Tree.focus n with Tree.Ftree (Tree.Comment _) -> true | _ -> false)
-  | Name_test local -> (
-    match Tree.focus n, Tree.node_name n with
-    | (Tree.Ftree (Tree.Element _) | Tree.Fattribute _), Some name ->
-      String.equal (Name.local name) local
-    | _ -> false)
+  match Tree.focus n with
+  | Tree.Ftree t -> test_tree test t
+  | Tree.Fattribute a -> (
+    match test with
+    | Node_kind_test | Wildcard -> true
+    | Name_test local -> String.equal (Name.local a.Tree.attr_name) local
+    | Text_test | Comment_test -> false)
+  | Tree.Fdocument -> (match test with Node_kind_test -> true | _ -> false)
+
+(* A predicate is statically non-positional when it is a comparison or an
+   and/or whose subexpressions never call position() or last(): it yields
+   a boolean (never a number, which would select by position) and cannot
+   observe the focus position or size. *)
+let non_positional pred =
+  let positional acc e =
+    acc
+    ||
+    match e with
+    | Call (name, _) -> (
+      let local =
+        match String.rindex_opt name ':' with
+        | Some i -> String.sub name (i + 1) (String.length name - i - 1)
+        | None -> name
+      in
+      match local with "position" | "last" -> true | _ -> false)
+    | _ -> false
+  in
+  match pred with
+  | Binary ((Gen_cmp _ | Val_cmp _ | Node_cmp _ | And | Or), _, _) ->
+    not (Ast.fold_expr positional false pred)
+  | _ -> false
 
 let rec eval env expr : Value.t =
   match expr with
@@ -119,19 +140,26 @@ let rec eval env expr : Value.t =
     let n = context_node env in
     [ Node (Tree.root_node (Tree.node_document n)) ]
   | Sequence es -> List.concat_map (eval env) es
-  | Path (a, b) ->
-    let base = eval env a in
-    let size = List.length base in
-    let results =
-      List.concat
-        (List.mapi
-           (fun i item -> eval (with_item env item (i + 1) size) b)
-           base)
-    in
-    if all_nodes results then doc_order_dedup results else results
+  | Path
+      ( Path (a, Axis_step (Descendant_or_self, Node_kind_test, [])),
+        Axis_step (Child, test, preds) )
+    when List.for_all non_positional preds ->
+    (* [a//test[preds]] selects what [a/descendant::test[preds]] does when
+       no predicate can observe positions: one walk per base node *)
+    eval_path env a (Axis_step (Descendant, test, preds))
+  | Path (a, b) -> eval_path env a b
   | Axis_step (axis, test, preds) ->
     let n = context_node env in
-    let candidates = List.filter (test_node test) (axis_nodes axis n) in
+    let candidates =
+      match axis with
+      | Child -> Tree.children_where (test_tree test) n
+      | Descendant -> Tree.descendants_where (test_tree test) n
+      | Descendant_or_self -> List.filter (test_node test) (Tree.descendant_or_self n)
+      | Self -> if test_node test n then [ n ] else []
+      | Parent -> (
+        match Tree.parent n with Some p when test_node test p -> [ p ] | _ -> [])
+      | Attribute -> List.filter (test_node test) (Tree.attributes n)
+    in
     apply_predicates env preds (List.map (fun n -> Node n) candidates)
   | Filter (e, preds) -> apply_predicates env preds (eval env e)
   | Call (name, args) -> Functions.call env name (List.map (eval env) args)
@@ -233,6 +261,19 @@ let rec eval env expr : Value.t =
       List.fold_left (fun env (v, e) -> bind env v (eval env e)) env binds
     in
     eval env body
+
+and eval_path env a b =
+  match eval env a, b with
+  | [ item ], Axis_step _ ->
+    (* any axis from one node yields distinct nodes in document order *)
+    eval (with_item env item 1 1) b
+  | base, _ ->
+    let size = List.length base in
+    let results =
+      List.concat
+        (List.mapi (fun i item -> eval (with_item env item (i + 1) size) b) base)
+    in
+    if all_nodes results then doc_order_dedup results else results
 
 and constructor_name env name_expr =
   match atomize (eval env name_expr) with

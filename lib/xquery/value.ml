@@ -180,18 +180,14 @@ let arith op l r =
 let all_nodes v = List.for_all (function Node _ -> true | Atom _ -> false) v
 
 let doc_order_dedup v =
-  if not (all_nodes v) then v
-  else
+  match v with
+  | [] | [ _ ] -> v
+  | _ when not (all_nodes v) -> v
+  | _ ->
     let nodes =
       List.filter_map (function Node n -> Some n | Atom _ -> None) v
     in
-    let sorted = List.stable_sort Tree.doc_order nodes in
-    let rec dedup = function
-      | a :: (b :: _ as rest) ->
-        if Tree.same_node a b then dedup rest else a :: dedup rest
-      | l -> l
-    in
-    List.map (fun n -> Node n) (dedup sorted)
+    List.map (fun n -> Node n) (Tree.doc_order_uniq nodes)
 
 let equal_item a b =
   match a, b with

@@ -411,6 +411,43 @@ let prop_doc_order_total =
             nodes)
         nodes)
 
+(* Workers build documents concurrently in their evaluation phases; two
+   documents with one id would compare as the same node. *)
+let test_doc_ids_distinct_across_domains () =
+  let per_domain = 20_000 in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            List.init per_domain (fun _ -> Tree.doc_id (Tree.doc (Tree.text "t")))))
+  in
+  let ids = List.concat_map Domain.join domains in
+  check int_ "all ids distinct" (4 * per_domain)
+    (List.length (List.sort_uniq Int.compare ids))
+
+(* [doc_order_uniq] against an order built without [doc_order]: the pool
+   lists two documents in creation order, each in pre-order with an
+   element's attributes right after it, which is document order. *)
+let prop_doc_order_uniq =
+  QCheck.Test.make ~name:"doc_order_uniq sorts and dedups like doc_order" ~count:100
+    QCheck.(pair arb_tree (list small_nat))
+    (fun (t, picks) ->
+      let d1 = Tree.doc (Tree.elem ~attrs:[ ("a", "1"); ("b", "2") ] "r" [ t ]) in
+      let d2 = Tree.doc t in
+      let docs = [ d1; d2 ] in
+      let pool =
+        Array.of_list
+          (List.concat_map
+             (fun d ->
+               List.concat_map
+                 (fun n -> n :: Tree.attributes n)
+                 (Tree.descendant_or_self (Tree.root_node d)))
+             docs)
+      in
+      let picks = List.map (fun i -> i mod Array.length pool) picks in
+      let want = List.map (fun i -> pool.(i)) (List.sort_uniq Int.compare picks) in
+      let got = Tree.doc_order_uniq (List.map (fun i -> pool.(i)) picks) in
+      List.length got = List.length want && List.for_all2 ( == ) got want)
+
 let suite =
   [
     ("name roundtrip", `Quick, test_name_roundtrip);
@@ -440,4 +477,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_pretty_roundtrip;
     QCheck_alcotest.to_alcotest prop_doc_order_total;
+    ("doc ids distinct across domains", `Quick, test_doc_ids_distinct_across_domains);
+    QCheck_alcotest.to_alcotest prop_doc_order_uniq;
   ]

@@ -420,6 +420,207 @@ let prop_flwor_map =
       show (eval src)
       = String.concat ";" (List.init n (fun i -> string_of_int ((i + 1) * (i + 1)))))
 
+(* ---- path evaluation: differential against a tree-walking oracle ----
+
+   Seeded trees with repeated and nested names, attributes and text. The
+   oracle selects nodes by walking [Tree.tree] values and names each
+   result by its forward path from the document node; the evaluator's
+   result must be the same nodes (identity, not equality) in the same
+   order. The fused [//] walk and the unfused step-by-step evaluation
+   both answer to it. *)
+
+type ostep = C of int | A of int
+
+type ofocus = Odoc of Tree.tree list | Otree of Tree.tree | Oattr of Tree.attribute
+
+let gen_tree rng =
+  let names = [| "n"; "m"; "a"; "x" |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let rec node depth =
+    if depth = 0 || Random.State.int rng 4 = 0 then Tree.text (pick [| "v"; "w" |])
+    else
+      let attrs =
+        List.filter_map
+          (fun k ->
+            if Random.State.bool rng then Some (k, pick [| "1"; "2" |]) else None)
+          [ "a"; "id" ]
+      in
+      let kids = List.init (Random.State.int rng 4) (fun _ -> node (depth - 1)) in
+      Tree.elem ~attrs (pick names) kids
+  in
+  Tree.elem "r" (List.init (1 + Random.State.int rng 3) (fun _ -> node 4))
+
+let o_children (p, f) =
+  let kids =
+    match f with
+    | Odoc roots -> roots
+    | Otree (Tree.Element e) -> e.Tree.children
+    | Otree _ | Oattr _ -> []
+  in
+  List.mapi (fun i t -> (p @ [ C i ], Otree t)) kids
+
+let o_attributes (p, f) =
+  match f with
+  | Otree (Tree.Element e) -> List.mapi (fun i a -> (p @ [ A i ], Oattr a)) e.Tree.attrs
+  | Odoc _ | Otree _ | Oattr _ -> []
+
+let rec o_descendants n = List.concat_map (fun c -> c :: o_descendants c) (o_children n)
+
+let o_named name (_, f) =
+  match f with
+  | Otree (Tree.Element e) -> Demaq.Xml.Name.local e.Tree.name = name
+  | Oattr a -> Demaq.Xml.Name.local a.Tree.attr_name = name
+  | Odoc _ | Otree _ -> false
+
+let o_string (_, f) =
+  match f with
+  | Otree t -> Tree.tree_string_value t
+  | Oattr a -> a.Tree.attr_value
+  | Odoc roots -> String.concat "" (List.map Tree.tree_string_value roots)
+
+let o_sort_uniq ns =
+  let rank = function A i -> (0, i) | C i -> (1, i) in
+  let cmp (p, _) (q, _) = compare (List.map rank p) (List.map rank q) in
+  List.sort_uniq cmp ns
+
+let o_sel f ns = o_sort_uniq (List.concat_map f ns)
+let o_child name n = List.filter (o_named name) (o_children n)
+let o_desc name n = List.filter (o_named name) (o_descendants n)
+let o_nth k l = match List.nth_opt l (k - 1) with Some x -> [ x ] | None -> []
+let o_last l = match List.rev l with x :: _ -> [ x ] | [] -> []
+
+(* [//n] is [/descendant-or-self::node()/child::n]: positions count among
+   the children of each parent. *)
+let o_dos_child name select doc =
+  o_sel (fun p -> select (o_child name p)) (doc :: o_descendants doc)
+
+let path_cases =
+  [
+    ("//n", fun doc _ -> o_desc "n" doc);
+    ("//n/m", fun doc _ -> o_sel (o_child "m") (o_desc "n" doc));
+    ("a//n", fun _ ctx -> o_sel (o_desc "n") (o_child "a" ctx));
+    ("//n//m", fun doc _ -> o_sel (o_desc "m") (o_desc "n" doc));
+    ( {|//n[m = "v"]|},
+      fun doc _ ->
+        List.filter
+          (fun n -> List.exists (fun m -> o_string m = "v") (o_child "m" n))
+          (o_desc "n" doc) );
+    ( "//n[@a and m]",
+      fun doc _ ->
+        List.filter
+          (fun n ->
+            List.exists (o_named "a") (o_attributes n) && o_child "m" n <> [])
+          (o_desc "n" doc) );
+    ( "//@a",
+      fun doc _ ->
+        o_sel (fun n -> List.filter (o_named "a") (o_attributes n)) (doc :: o_descendants doc) );
+    ("//n[1]", fun doc _ -> o_dos_child "n" (o_nth 1) doc);
+    ("//n[last()]", fun doc _ -> o_dos_child "n" o_last doc);
+    ("//n[position() = 2]", fun doc _ -> o_dos_child "n" (o_nth 2) doc);
+    ("//n[$k]", fun doc _ -> o_dos_child "n" (o_nth 2) doc);
+    ("(//n)[2]", fun doc _ -> o_nth 2 (o_desc "n" doc));
+  ]
+
+let node_at doc_node path =
+  List.fold_left
+    (fun n step ->
+      match step with
+      | C i -> List.nth (Tree.children n) i
+      | A i -> List.nth (Tree.attributes n) i)
+    doc_node path
+
+let test_path_oracle () =
+  let hits = Hashtbl.create 16 in
+  for seed = 1 to 200 do
+    let rng = Random.State.make [| seed |] in
+    let tree = gen_tree rng in
+    let ctx = Eval.node_of_tree tree in
+    let doc_node = Tree.root_node (Tree.node_document ctx) in
+    let o_doc = ([], Odoc [ tree ]) in
+    let o_ctx = ([ C 0 ], Otree tree) in
+    let env =
+      Context.bind
+        (Context.make ~item:(Value.Node ctx) ())
+        "k" [ Value.Atom (Value.Integer 2) ]
+    in
+    List.iter
+      (fun (src, oracle) ->
+        let got = Eval.eval env (Parser.parse src) in
+        let want = List.map (fun (p, _) -> node_at doc_node p) (oracle o_doc o_ctx) in
+        if want <> [] then Hashtbl.replace hits src ();
+        let same =
+          List.length got = List.length want
+          && List.for_all2
+               (fun g w ->
+                 match g with
+                 | Value.Node g -> Tree.doc_order g w = 0
+                 | Value.Atom _ -> false)
+               got want
+        in
+        if not same then
+          Alcotest.failf "seed %d, %s on %s: got %d items, oracle %d" seed src
+            (Demaq.Xml.Serializer.to_string tree)
+            (List.length got) (List.length want))
+      path_cases
+  done;
+  (* every shape must select something on some tree, or it proves nothing *)
+  List.iter
+    (fun (src, _) ->
+      if not (Hashtbl.mem hits src) then Alcotest.failf "%s selected nothing on any tree" src)
+    path_cases
+
+let pin_ctx = Xml_parser.parse "<r><a><x/><x/></a><b><x/></b></r>"
+
+let test_positional_pins () =
+  check int_ "//x[1] takes the first x of each parent" 2
+    (List.length (eval ~ctx:pin_ctx "//x[1]"));
+  let ids = eval ~ctx:(Xml_parser.parse {|<r id="1"><s id="2"/></r>|}) "//@id" in
+  check int_ "//@id" 2 (List.length ids);
+  List.iter
+    (function
+      | Value.Node n -> (
+        match Tree.focus n with
+        | Tree.Fattribute _ -> ()
+        | _ -> Alcotest.fail "//@id returned a non-attribute node")
+      | Value.Atom _ -> Alcotest.fail "//@id returned an atom")
+    ids
+
+(* Rule evaluation allocates per message on the hot path; the extract rule
+   of the ETL example is the shape the shipped programs use ([//a/b] in a
+   guard, [string(//a/b)] in a body). [Gc.minor_words] counts repeat exactly
+   for the same code, so this bound is host-independent. *)
+let test_extract_rule_allocation () =
+  let path =
+    List.find Sys.file_exists
+      [ "../examples/etl_pipeline.demaq"; "examples/etl_pipeline.demaq" ]
+  in
+  let program =
+    Demaq.Lang.Qdl.parse_program (In_channel.with_open_bin path In_channel.input_all)
+  in
+  let rule =
+    List.find
+      (fun (r : Demaq.Lang.Qdl.rule_def) -> r.rname = "extract")
+      (Demaq.Lang.Qdl.rules program)
+  in
+  let event =
+    Xml_parser.parse
+      "<event><eventID>e1</eventID><source>s1</source><metric>m1</metric><value>42</value></event>"
+  in
+  let env = Context.make ~item:(Value.Node (Eval.doc_node_of_tree event)) () in
+  let run () =
+    match Eval.eval_with_updates env rule.body with
+    | _, [ _ ] -> ()
+    | _ -> Alcotest.fail "extract rule did not enqueue"
+  in
+  run ();
+  let rounds = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do run () done;
+  let per_eval = (Gc.minor_words () -. before) /. float_of_int rounds in
+  if per_eval > 3000. then
+    Alcotest.failf "extract rule allocates %.0f minor words per evaluation (bound 3000)"
+      per_eval
+
 let quick name f = (name, `Quick, f)
 let table cases = List.map (fun (name, f) -> (name, `Quick, f)) cases
 
@@ -445,4 +646,7 @@ let suite =
   @ [
       QCheck_alcotest.to_alcotest prop_arith;
       QCheck_alcotest.to_alcotest prop_flwor_map;
+      quick "paths agree with a tree-walking oracle" test_path_oracle;
+      quick "positional and attribute paths stay unfused" test_positional_pins;
+      quick "extract rule allocation bound" test_extract_rule_allocation;
     ]
