@@ -131,7 +131,8 @@ type t = {
   state_mu : Mutex.t;  (* guards everything below except the atomics/trace *)
   node_cache : (int, Tree.node) Hashtbl.t;  (* rid -> body node *)
   name_cache : (int, Prefilter.Names.t) Hashtbl.t;
-      (* rid -> element-name synopsis for condition pre-filtering *)
+      (* rid -> element-name set for condition pre-filtering, kept only
+         for payloads without a readable header (legacy text) *)
   collection_cache : (string, Value.t) Hashtbl.t;
   bindings : (string, gateway_binding) Hashtbl.t;  (* outgoing queue -> route *)
   interfaces : (string, Wsdl.t) Hashtbl.t;  (* WSDL file name -> parsed model *)
@@ -244,11 +245,7 @@ let create ~cfg ~qm ~st ~net ~compiled ~clk () =
     met = make_metrics reg;
     spans = Trace.create ~capacity:cfg.trace_capacity;
     flows = Flow.create ();
-    flow_seq =
-      1
-      + List.fold_left
-          (fun acc (sm : Store.message) -> max acc sm.Store.rid)
-          0 (Store.all_messages st);
+    flow_seq = 1 + Store.max_rid st;
     pending_ns = Hashtbl.create 256;
     wait_hists = Hashtbl.create 8;
     fault = None;
@@ -488,6 +485,18 @@ let host_for t (m : Message.t) ~slice_ctx : Context.host =
 let queue_priority t name =
   match Qm.find_queue t.qm name with Some q -> q.Defs.priority | None -> 0
 
+(* The element-name set of a message whose payload has no readable header
+   (legacy text, corrupt binary), cached by rid. Binary payloads never get
+   here: {!Prefilter.present_of_payload} decides them on their header
+   bytes, with no name set and no cache entry. *)
+let body_names t (m : Message.t) =
+  match Hashtbl.find_opt t.name_cache m.Message.rid with
+  | Some names -> names
+  | None ->
+    let names = Prefilter.element_names (force_body_unlocked t m) in
+    Hashtbl.replace t.name_cache m.Message.rid names;
+    names
+
 (* Footprint-driven conflict resources: the message claims only the
    resources of the rules it can actually trigger (the per-rule conflict
    templates the compiler cached on the plan, admission-filtered against
@@ -497,9 +506,9 @@ let queue_priority t name =
    resource sets overlap — the relaxation this mode trades for dispatch
    width. Membership slice resources are always claimed (slice rules read
    their whole slice), and a ⊤ footprint (dynamically computed queue name)
-   expands to every declared queue. Reads the synopsis cache but never
+   expands to every declared queue. Reads the name cache but never
    populates it and never forces a body decode: a text payload without a
-   cached synopsis falls back to the plan's whole conflict union. *)
+   cached name set falls back to the plan's whole conflict union. *)
 let footprint_resources t (m : Message.t) =
   let resources = ref [] in
   let top = ref false in
@@ -517,22 +526,25 @@ let footprint_resources t (m : Message.t) =
   (match Compiler.plan_for t.compiled m.Message.queue with
    | None -> ()
    | Some plan -> (
-     let names =
+     let ix = plan.Compiler.admission in
+     let present =
        if not t.cfg.use_prefilter then None
        else
-         match Hashtbl.find_opt t.name_cache m.Message.rid with
-         | Some names -> Some names
-         | None ->
-           if Message.body_forced m then
-             Some (Prefilter.element_names (Message.body m))
-           else Prefilter.payload_names (Message.raw m)
+         match Prefilter.present_of_payload ix (Message.raw m) with
+         | Some _ as present -> present
+         | None -> (
+           match Hashtbl.find_opt t.name_cache m.Message.rid with
+           | Some names -> Some (Prefilter.present_of_names ix names)
+           | None when Message.body_forced m ->
+             Some (Prefilter.present_of_names ix (Prefilter.element_names (Message.body m)))
+           | None -> None)
      in
-     match names with
+     match present with
      | None -> add_conflict plan.Compiler.conflict_union
-     | Some names ->
-       Array.iter
-         (fun (requirements, conflict) ->
-           if Prefilter.may_match ~requirements ~names then add_conflict conflict)
+     | Some present ->
+       Array.iteri
+         (fun i (_, conflict) ->
+           if Prefilter.admits ix present i then add_conflict conflict)
          plan.Compiler.conflicts));
   List.iter
     (fun (mem : Message.membership) ->
@@ -770,6 +782,7 @@ type attribution = {
    out. *)
 type plan_work = {
   pw_plan : Plan_ir.t;
+  pw_admission : Prefilter.index;  (* the plan's requirements, indexed *)
   pw_slice_ctx : (string * string) option;
   pw_admit : bool array;
 }
@@ -778,6 +791,7 @@ let plan_works_for t (m : Message.t) =
   let work_of plan ctx =
     {
       pw_plan = plan.Compiler.exec;
+      pw_admission = plan.Compiler.admission;
       pw_slice_ctx = ctx;
       pw_admit =
         Array.make (List.length plan.Compiler.exec.Plan_ir.p_guarded) true;
@@ -892,11 +906,12 @@ let message t rid =
 
 (* Setup phase, under [state_mu]: fetch the message, open the transaction,
    look up the pertinent rule plans and pre-filter them against the
-   message's element-name synopsis. Binary payloads
-   carry the synopsis in their header, so admission is decided on the
-   raw bytes; the body tree is materialized only when at least one rule
-   survives the filter — a message every pertinent rule prefilters away
-   commits its no-op transaction without ever decoding. When tracing is
+   message's element names. Binary payloads carry their element names in
+   their header, so one pass over the header bytes decides every guarded
+   rule of a plan (Prefilter.present_of_payload); the body tree is
+   materialized only when at least one rule survives the filter — a
+   message every pertinent rule prefilters away commits its no-op
+   transaction without ever decoding. When tracing is
    on, pre-filtered rules are pushed onto [acts] as skipped activations.
    [now] is the (possibly free-running-zero) phase clock; the returned
    decode time is a sub-interval of the caller's lock phase. *)
@@ -922,54 +937,30 @@ let prepare t ~acts ~now rid =
       Metrics.observe (wait_hist_for t m.Message.queue) wait_ns;
     let txn = Store.begin_txn t.st in
     let work = plan_works_for t m in
-    let needs_names =
-      List.exists
-        (fun pw ->
-          List.exists
-            (fun (g : Plan_ir.guarded) -> g.Plan_ir.g_requirements <> [])
-            pw.pw_plan.Plan_ir.p_guarded)
-        work
-    in
-    let message_names =
-      if t.cfg.use_prefilter && needs_names then
-        Some
-          (match Hashtbl.find_opt t.name_cache m.Message.rid with
-           | Some names -> names
-           | None ->
-             let names =
-               if Message.body_forced m then
-                 Prefilter.element_names (Message.body m)
-               else
-                 match Prefilter.payload_names (Message.raw m) with
-                 | Some names -> names  (* streaming: header read only *)
-                 | None -> Prefilter.element_names (force_body_unlocked t m)
-             in
-             Hashtbl.replace t.name_cache m.Message.rid names;
-             names)
-      else None
-    in
     let skip rule =
       Metrics.incr t.met.m_prefilter_skips;
       if Trace.enabled t.spans then
         acts := { Trace.a_rule = rule; a_updates = 0; a_skipped = true } :: !acts
     in
-    Option.iter
-      (fun names ->
-        List.iter
-          (fun pw ->
+    if t.cfg.use_prefilter then
+      List.iter
+        (fun pw ->
+          let ix = pw.pw_admission in
+          if Prefilter.needs_names ix then begin
+            let present =
+              match Prefilter.present_of_payload ix (Message.raw m) with
+              | Some present -> present
+              | None -> Prefilter.present_of_names ix (body_names t m)
+            in
             List.iteri
               (fun i (g : Plan_ir.guarded) ->
-                if
-                  not
-                    (Prefilter.may_match
-                       ~requirements:g.Plan_ir.g_requirements ~names)
-                then begin
+                if not (Prefilter.admits ix present i) then begin
                   pw.pw_admit.(i) <- false;
                   skip g.Plan_ir.g_name
                 end)
-              pw.pw_plan.Plan_ir.p_guarded)
-          work)
-      message_names;
+              pw.pw_plan.Plan_ir.p_guarded
+          end)
+        work;
     let live = List.exists (fun pw -> Array.exists Fun.id pw.pw_admit) work in
     let decode_ns =
       if not live then begin

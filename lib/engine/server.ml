@@ -542,7 +542,6 @@ let deploy ?(config = default_config) ?time_source ?store:st ?network:net
   List.iter (Qm.add_queue qm) (Qdl.queues program);
   List.iter (Qm.add_property qm) (Qdl.properties program);
   List.iter (Qm.add_slicing qm) (Qdl.slicings program);
-  Qm.rebuild_indexes qm;
   let compiled =
     Compiler.compile ~optimize:config.optimize ~merged:config.merged_plans program
   in
@@ -579,44 +578,42 @@ let deploy ?(config = default_config) ?time_source ?store:st ?network:net
   Metrics.counter_fn reg "demaq_store_compacted_bytes_total"
     ~help:"WAL bytes retired by background compaction" (fun () ->
       float_of_int t.compacted_bytes);
-  (* Recovery: refill gateway outboxes (retransmission after restart is
-     at-least-once, matching WS-ReliableMessaging semantics), resume the
-     clock past every stored timestamp, reschedule unprocessed messages,
-     and re-register pending echo timeouts. *)
+  (* Recovery, in one walk over the store in rid order: each stored
+     message is decoded once (its extra blob; the body stays lazy), and
+     the same pass rebuilds the slice indexes, refills the gateway
+     outboxes (retransmission after restart is at-least-once, matching
+     WS-ReliableMessaging semantics), collects the unprocessed messages
+     and refills the flow store from durable provenance, so /flows and
+     the flow trees pick up where the crashed process left off (spans
+     are gone — those hops render without timings — but the causal edges
+     survive). *)
+  let unprocessed = ref [] in
+  let resume_at = ref 0 in
   Executor.locked ctx (fun () ->
-      List.iter
-        (fun (qdef : Defs.queue_def) ->
-          if qdef.Defs.kind = Defs.Outgoing_gateway then
-            List.iter (Executor.note_outgoing ctx)
-              (Qm.queue_messages qm qdef.Defs.qname))
-        (Qm.queue_defs qm));
-  let unprocessed = Qm.unprocessed qm in
-  (* Resume at the MAXIMUM stored timestamp in one step: list order is
-     arrival order, not time order, so folding element-wise assignments
-     could land on a stale tick and fire pending echo timers early. *)
-  Clock.set clk
-    (List.fold_left
-       (fun acc (m : Message.t) -> max acc m.Message.enqueued_at)
-       0 unprocessed);
+      Qm.rebuild qm (fun (m : Message.t) ->
+          Executor.note_outgoing ctx m;
+          if not m.Message.processed then begin
+            unprocessed := m :: !unprocessed;
+            resume_at := max !resume_at m.Message.enqueued_at
+          end;
+          let prov = m.Message.prov in
+          if config.flow_tracing && prov.Message.p_flow <> "" then
+            Flow.observe ctx.Executor.flows ~rid:m.Message.rid
+              ~queue:m.Message.queue ~flow:prov.Message.p_flow
+              ~parent:prov.Message.p_parent ~cause:prov.Message.p_cause
+              ~tick:m.Message.enqueued_at));
+  (* Resume the clock at the MAXIMUM timestamp of the unprocessed
+     messages in one step, before any echo timer is re-registered: rid
+     order is arrival order, not time order, so element-wise assignments
+     could land on a stale tick and fire pending echo timers early. Then
+     reschedule the unprocessed messages in rid order and re-register
+     pending echo timeouts. *)
+  Clock.set clk !resume_at;
   List.iter
     (fun (m : Message.t) ->
       match Qm.find_queue qm m.Message.queue with
       | Some { Defs.kind = Defs.Echo; _ } ->
         Executor.with_txn ctx (fun txn -> Executor.register_echo_timer ctx txn m)
       | _ -> Executor.schedule_message ctx m)
-    unprocessed;
-  (* Refill the flow store from durable provenance so /flows and the flow
-     trees pick up where the crashed process left off (spans are gone —
-     those hops render without timings — but the causal edges survive). *)
-  if config.flow_tracing then
-    Executor.locked ctx (fun () ->
-        Store.all_messages st
-        |> List.sort (fun (a : Store.message) b -> compare a.Store.rid b.Store.rid)
-        |> List.iter (fun (sm : Store.message) ->
-               let _, _, prov = Message.decode_extra sm.Store.extra in
-               if prov.Message.p_flow <> "" then
-                 Flow.observe ctx.Executor.flows ~rid:sm.Store.rid
-                   ~queue:sm.Store.queue ~flow:prov.Message.p_flow
-                   ~parent:prov.Message.p_parent ~cause:prov.Message.p_cause
-                   ~tick:sm.Store.enqueued_at));
+    (List.rev !unprocessed);
   t

@@ -84,6 +84,7 @@ type plan = {
          the dispatch template, cached here so the executor derives a
          message's resources by admission filtering alone *)
   conflict_union : conflict;  (* union over all rules (no-synopsis case) *)
+  admission : Prefilter.index;  (* aligned with [exec.p_guarded] *)
   queue_resource : string;  (* "q:" ^ target, interned once *)
 }
 
@@ -598,6 +599,11 @@ let finish_plan ~queues ~merged target plan =
     conflicts;
     conflict_union =
       union_conflicts (Array.to_list (Array.map snd conflicts));
+    admission =
+      Prefilter.index
+        (List.map
+           (fun (g : Plan_ir.guarded) -> g.Plan_ir.g_requirements)
+           exec.Plan_ir.p_guarded);
     queue_resource = "q:" ^ target;
   }
 
@@ -611,6 +617,7 @@ let empty_plan target on_slicing =
     footprints = [];
     conflicts = [||];
     conflict_union = Conflict_resources { res = []; own_queue = false };
+    admission = Prefilter.index [];
     queue_resource = "q:" ^ target;
   }
 

@@ -73,6 +73,9 @@ type plan = {
       (** per guarded rule: (pre-filter requirements, conflict resources)
           — the cached dispatch template *)
   conflict_union : conflict;  (** union over all rules *)
+  admission : Prefilter.index;
+      (** the guarded rules' pre-filter requirements, indexed so one pass
+          over a payload's header decides them all *)
   queue_resource : string;  (** ["q:" ^ target], interned once *)
 }
 

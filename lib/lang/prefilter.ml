@@ -75,9 +75,8 @@ let rule_requirements body =
 
 module Names = Set.Make (String)
 
-(* All element local names occurring in a message body (the filter's
-   document synopsis); computed once per message and cached by the
-   engine. *)
+(* All element local names occurring in a message body: the document
+   synopsis of a payload without a readable header. *)
 let element_names tree =
   let rec go acc = function
     | Demaq_xml.Tree.Element e ->
@@ -88,20 +87,85 @@ let element_names tree =
   in
   go Names.empty tree
 
-(* Streaming synopsis: binary payloads carry their element-name set in
-   the encoding header (computed once, at encode time), so admission
-   never has to materialize — or even token-scan — the message. [None]
-   means the payload is legacy text or corrupt binary; the caller falls
-   back to decoding and walking the tree. *)
-let payload_names payload =
-  if Demaq_xml.Bxml.is_binary payload then
-    match Demaq_xml.Bxml.synopsis payload with
-    | locals -> Some (List.fold_left (fun acc n -> Names.add n acc) Names.empty locals)
-    | exception Demaq_xml.Bxml.Decode_error _ -> None
-  else None
-
 let may_match ~requirements ~names =
   List.for_all (fun n -> Names.mem n names) requirements
+
+(* ---- admission on the payload's bytes ----
+
+   A plan's rules are decided together: [index] gathers their
+   requirements into one sorted array of distinct names, and a message is
+   reduced to the subset of those names it contains. For a binary payload
+   that subset comes from one pass over the header's element names, each
+   compared in place against the array by binary search — no name is
+   copied and no set is built. *)
+
+type index = {
+  req_names : string array;  (* every rule's requirements, sorted, distinct *)
+  rule_reqs : int array array;  (* per rule: indices into [req_names] *)
+}
+
+type present = Bytes.t  (* one flag byte per name of the index *)
+
+let index requirements =
+  let req_names =
+    Array.of_list (List.sort_uniq String.compare (List.concat requirements))
+  in
+  let slot name =
+    let rec go i = if String.equal req_names.(i) name then i else go (i + 1) in
+    go 0
+  in
+  let rule_reqs reqs = Array.of_list (List.map slot reqs) in
+  { req_names; rule_reqs = Array.of_list (List.map rule_reqs requirements) }
+
+let needs_names ix = Array.length ix.req_names > 0
+
+(* [String.compare (String.sub s off len) name] without the copy; the
+   caller guarantees [off + len <= String.length s]. *)
+let compare_sub s off len name =
+  let n = String.length name in
+  let m = if len < n then len else n in
+  let i = ref 0 in
+  while !i < m && String.unsafe_get s (off + !i) = String.unsafe_get name !i do
+    incr i
+  done;
+  if !i < m then
+    Char.code (String.unsafe_get s (off + !i)) - Char.code (String.unsafe_get name !i)
+  else len - n
+
+let find_sub names s off len =
+  let lo = ref 0 and hi = ref (Array.length names) and found = ref (-1) in
+  while !found < 0 && !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let c = compare_sub s off len names.(mid) in
+    if c = 0 then found := mid else if c < 0 then hi := mid else lo := mid + 1
+  done;
+  !found
+
+let present_of_payload ix payload =
+  if not (Demaq_xml.Bxml.is_binary payload) then None
+  else begin
+    let present = Bytes.make (Array.length ix.req_names) '\000' in
+    match
+      Demaq_xml.Bxml.iter_synopsis payload (fun off len ->
+          let k = find_sub ix.req_names payload off len in
+          if k >= 0 then Bytes.unsafe_set present k '\001')
+    with
+    | () -> Some present
+    | exception Demaq_xml.Bxml.Decode_error _ -> None
+  end
+
+let present_of_names ix names =
+  Bytes.init (Array.length ix.req_names) (fun k ->
+      if Names.mem ix.req_names.(k) names then '\001' else '\000')
+
+let admits ix present rule =
+  let reqs = ix.rule_reqs.(rule) in
+  let ok = ref true and j = ref 0 in
+  while !ok && !j < Array.length reqs do
+    ok := Bytes.get present reqs.(!j) <> '\000';
+    incr j
+  done;
+  !ok
 
 (* ---- static entailment against a queue schema ----
 

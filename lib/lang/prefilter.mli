@@ -24,18 +24,45 @@ val required_names : Demaq_xquery.Ast.expr -> string list
 module Names : Set.S with type elt = string
 
 val element_names : Demaq_xml.Tree.tree -> Names.t
-(** All element local names occurring in a message body (the per-message
-    synopsis; the engine computes it once and caches it by rid). *)
-
-val payload_names : string -> Names.t option
-(** The same synopsis read directly from a stored payload: binary
-    payloads carry their element-name set in the {!Demaq_xml.Bxml}
-    header, so this costs O(header) and never builds a tree. [None] for
-    legacy text payloads (or corrupt binary) — fall back to
-    {!element_names} over the decoded body. *)
+(** All element local names occurring in a message body. The engine
+    needs it only for payloads without a readable header (legacy text),
+    and caches it by rid. *)
 
 val may_match : requirements:string list -> names:Names.t -> bool
-(** False only when the rule provably cannot fire on this message. *)
+(** False only when the rule provably cannot fire on this message: the
+    reference semantics of admission, which {!admits} decides for all of
+    a plan's rules at once. *)
+
+(** {1 Admission on the payload's bytes}
+
+    The per-message decision for all rules of a plan at once. *)
+
+type index
+(** The requirements of a plan's rules, gathered into one sorted array of
+    distinct names. *)
+
+type present
+(** Which names of an index one message contains. *)
+
+val index : string list list -> index
+(** [index reqs] indexes one requirement list per rule; rule [i] of the
+    index is [List.nth reqs i]. *)
+
+val needs_names : index -> bool
+(** False when no rule has a requirement: every rule is admitted. *)
+
+val present_of_payload : index -> string -> present option
+(** The names a binary payload contains, read in one pass over its
+    header's element names, each compared in place against the index:
+    no name is copied and no {!Names.t} is built. [None] for legacy text
+    payloads and corrupt binary — fall back to {!present_of_names}. *)
+
+val present_of_names : index -> Names.t -> present
+(** The same from an element-name set ({!element_names}). *)
+
+val admits : index -> present -> int -> bool
+(** [admits ix p i] is {!may_match} for rule [i]: false only when rule
+    [i] provably cannot fire on the message. *)
 
 type vocabulary = Open_vocabulary | Closed_vocabulary of Names.t
 (** The element names messages admitted to a queue can possibly contain:

@@ -62,12 +62,13 @@ let put_atomic buf (a : Value.atomic) =
     Codec.put_string buf s
 
 let get_atomic r =
-  let tag = r.Codec.src.[r.Codec.pos] in
-  r.Codec.pos <- r.Codec.pos + 1;
-  match tag with
+  match Codec.get_char r with
   | 'b' -> Value.Boolean (Codec.get_bool r)
   | 'i' -> Value.Integer (Codec.get_int r)
-  | 'd' -> Value.Decimal (float_of_string (Codec.get_string r))
+  | 'd' -> (
+    match float_of_string_opt (Codec.get_string r) with
+    | Some f -> Value.Decimal f
+    | None -> raise (Codec.Decode_error "bad decimal"))
   | 's' -> Value.String (Codec.get_string r)
   | 'u' -> Value.Untyped (Codec.get_string r)
   | c -> raise (Codec.Decode_error (Printf.sprintf "bad atomic tag %C" c))

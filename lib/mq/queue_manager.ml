@@ -365,17 +365,18 @@ let gc_step t ~budget =
       (List.filter (deletable t) (List.map (of_store_cached t) window))
   end
 
-let rebuild_indexes t =
+let rebuild t f =
   Hashtbl.iter (fun _ idx -> Btree.clear idx) t.indexes;
-  List.iter
-    (fun sm ->
+  Store.iter_live t.store (fun sm ->
       let m = of_store_cached t sm in
       List.iter
         (fun mem ->
           Btree.add (index_for t mem.Message.m_slicing) mem.Message.m_key
             m.Message.rid)
-        m.Message.memberships)
-    (Store.all_messages t.store)
+        m.Message.memberships;
+      f m)
+
+let rebuild_indexes t = rebuild t ignore
 
 let index_stats t =
   Hashtbl.fold
@@ -389,19 +390,15 @@ let create ?clock ?(payload_format = `Binary) store =
     | `Binary -> Demaq_xml.Bxml.encode
     | `Text -> fun tree -> Serializer.to_string tree
   in
-  let t =
-    {
-      store;
-      queues = Hashtbl.create 16;
-      properties = [];
-      slicings = [];
-      indexes = Hashtbl.create 8;
-      collections = Hashtbl.create 8;
-      cache = Hashtbl.create 1024;
-      clock;
-      encode_payload;
-      gc_cursor = 0;
-    }
-  in
-  rebuild_indexes t;
-  t
+  {
+    store;
+    queues = Hashtbl.create 16;
+    properties = [];
+    slicings = [];
+    indexes = Hashtbl.create 8;
+    collections = Hashtbl.create 8;
+    cache = Hashtbl.create 1024;
+    clock;
+    encode_payload;
+    gc_cursor = 0;
+  }

@@ -121,9 +121,16 @@ val gc_step : t -> budget:int -> int list
     O(budget) deletability checks instead of O(store); repeated calls
     eventually revisit every message. Returns the collected rids. *)
 
+val rebuild : t -> (Message.t -> unit) -> unit
+(** [rebuild t f] walks the store once in rid order. It decodes each live
+    message (its extra blob once; the body stays lazy), adds its slice
+    memberships to the rebuilt slice indexes, and hands it to [f]. This is
+    the recovery pass: index data is derived, §4.1, and [f] lets the
+    caller rebuild its own derived state in the same walk. *)
+
 val rebuild_indexes : t -> unit
-(** Rebuild all slice indexes from the store (after recovery: index data is
-    derived, §4.1). Called automatically by {!create}. *)
+(** [rebuild t ignore]: rebuild all slice indexes from the store. Call it
+    after registering the slicings. *)
 
 val index_stats : t -> (string * int * int) list
 (** Per slicing: (name, distinct keys, B-tree height). *)

@@ -9,13 +9,22 @@ val put_string : Buffer.t -> string -> unit
 val put_bool : Buffer.t -> bool -> unit
 val put_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
 
-type reader = { src : string; mutable pos : int }
+type reader = private { src : string; mutable pos : int; limit : int }
+(** Decoding reads [src] from [pos] up to, not including, [limit]. *)
 
 exception Decode_error of string
 
 val reader : string -> reader
+(** A reader over the whole string. *)
+
+val sub_reader : string -> int -> int -> reader
+(** [sub_reader s off len] reads [String.sub s off len] in place.
+
+    @raise Invalid_argument if the range is not within [s]. *)
+
 val get_int : reader -> int
 val get_string : reader -> string
+val get_char : reader -> char
 val get_bool : reader -> bool
 val get_list : reader -> (reader -> 'a) -> 'a list
 val at_end : reader -> bool

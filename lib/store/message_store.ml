@@ -451,11 +451,33 @@ let fold_queue t queue f acc =
 
 let queue_length t queue = fold_queue t queue (fun n _ -> n + 1) 0
 
-let all_messages t =
-  let live =
-    Hashtbl.fold (fun _ m acc -> if m.deleted then acc else m :: acc) t.messages []
+(* Rid order from one sort of an unboxed int array; the messages are then
+   fetched by rid. *)
+let iter_live t f =
+  let rids = Array.make (Hashtbl.length t.messages) 0 in
+  let n =
+    Hashtbl.fold
+      (fun rid m n ->
+        if m.deleted then n
+        else begin
+          rids.(n) <- rid;
+          n + 1
+        end)
+      t.messages 0
   in
-  List.sort (fun a b -> compare a.rid b.rid) live
+  let rids = Array.sub rids 0 n in
+  Array.sort Int.compare rids;
+  Array.iter
+    (fun rid -> match Hashtbl.find_opt t.messages rid with Some m -> f m | None -> ())
+    rids
+
+let all_messages t =
+  let acc = ref [] in
+  iter_live t (fun m -> acc := m :: !acc);
+  List.rev !acc
+
+let max_rid t =
+  Hashtbl.fold (fun rid m acc -> if m.deleted then acc else max acc rid) t.messages 0
 
 let slice_lifetime t ~slicing ~key =
   Option.value ~default:0 (Hashtbl.find_opt t.slice_lifetimes (slicing, key))

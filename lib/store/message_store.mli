@@ -128,6 +128,15 @@ val queue_rids : t -> string -> int list
 val queue_length : t -> string -> int
 val fold_queue : t -> string -> ('a -> message -> 'a) -> 'a -> 'a
 val all_messages : t -> message list
+(** Live messages in rid order. *)
+
+val iter_live : t -> (message -> unit) -> unit
+(** [iter_live t f] calls [f] on every live message in rid order, after
+    one sort of the rids. [f] must not insert or delete messages. *)
+
+val max_rid : t -> int
+(** The highest rid of a live message; 0 when there is none. *)
+
 val slice_lifetime : t -> slicing:string -> key:string -> int
 (** Current lifetime counter of the slice; 0 if never reset. *)
 

@@ -82,12 +82,6 @@ let encode_op buf op =
     Codec.put_int buf rid;
     Codec.put_string buf image
 
-let read_tag r =
-  if Codec.at_end r then raise (Codec.Decode_error "missing tag");
-  let tag = r.Codec.src.[r.Codec.pos] in
-  r.Codec.pos <- r.Codec.pos + 1;
-  tag
-
 (* Queue names recur in every [Insert] record; interning them makes a
    large-log replay share one string per distinct queue instead of
    allocating a copy per message. *)
@@ -101,7 +95,7 @@ let intern_queue s =
     s
 
 let decode_op r =
-  match read_tag r with
+  match Codec.get_char r with
   | 'I' ->
     let rid = Codec.get_int r in
     let queue = intern_queue (Codec.get_string r) in
@@ -129,9 +123,8 @@ let encode_record_into buf rec_ =
     Codec.put_list buf encode_op ops
   | Checkpoint -> Buffer.add_char buf 'K'
 
-let decode_record body =
-  let r = Codec.reader body in
-  match read_tag r with
+let decode_record r =
+  match Codec.get_char r with
   | 'C' ->
     let txn = Codec.get_int r in
     let ops = Codec.get_list r decode_op in
@@ -252,7 +245,11 @@ let reset t =
    returns the byte length of the intact prefix. The caller that reopens
    the log for appending MUST truncate the file to that length first:
    [open_log] appends at the physical end of file, so bytes written after
-   a surviving torn tail would be unreachable to every future replay. *)
+   a surviving torn tail would be unreachable to every future replay.
+
+   The file is read into one string; each record is checksummed and
+   decoded where it sits in it, so the only copies made are the strings
+   the decoded ops keep. *)
 let replay path f =
   if not (Sys.file_exists path) then 0
   else begin
@@ -260,25 +257,20 @@ let replay path f =
     let size = in_channel_length ic in
     let contents = really_input_string ic size in
     close_in ic;
-    let r = Codec.reader contents in
-    let ok = ref true in
     let valid = ref 0 in
-    while !ok && not (Codec.at_end r) do
-      match
-        let len = Codec.get_int r in
-        let crc = Codec.get_int r in
-        if len < 0 || r.Codec.pos + len > String.length contents then None
-        else begin
-          let body = String.sub contents r.Codec.pos len in
-          r.Codec.pos <- r.Codec.pos + len;
-          if Crc32.string body <> crc then None else Some (decode_record body)
-        end
-      with
-      | Some rec_ ->
-        f rec_;
-        valid := r.Codec.pos
-      | None -> ok := false
-      | exception _ -> ok := false
+    let torn = ref false in
+    while (not !torn) && size - !valid >= 16 do
+      let len = Int64.to_int (String.get_int64_le contents !valid) in
+      let crc = Int64.to_int (String.get_int64_le contents (!valid + 8)) in
+      let body = !valid + 16 in
+      if len < 0 || len > size - body || Crc32.sub contents body len <> crc then
+        torn := true
+      else
+        match decode_record (Codec.sub_reader contents body len) with
+        | rec_ ->
+          f rec_;
+          valid := body + len
+        | exception Codec.Decode_error _ -> torn := true
     done;
     !valid
   end

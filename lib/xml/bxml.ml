@@ -208,14 +208,18 @@ let u8 r limit =
   r.pos <- r.pos + 1;
   b
 
+(* A loop: a local recursive function would allocate a closure per call. *)
 let varint r limit =
-  let rec go shift acc =
-    if shift > 56 then fail "varint too long";
+  let acc = ref 0 in
+  let shift = ref 0 in
+  let more = ref true in
+  while !more do
+    if !shift > 56 then fail "varint too long";
     let b = u8 r limit in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b < 0x80 then acc else go (shift + 7) acc
-  in
-  go 0 0
+    acc := !acc lor ((b land 0x7f) lsl !shift);
+    if b < 0x80 then more := false else shift := !shift + 7
+  done;
+  !acc
 
 let read_str r limit =
   let n = varint r limit in
@@ -229,9 +233,17 @@ let skip_str r limit =
   if n < 0 || n > limit - r.pos then fail "string length out of bounds";
   r.pos <- r.pos + n
 
+(* in bounds for every caller: the range is checked against a limit that
+   lies within [s] *)
+let u32_at s p =
+  Char.code (String.unsafe_get s p)
+  lor (Char.code (String.unsafe_get s (p + 1)) lsl 8)
+  lor (Char.code (String.unsafe_get s (p + 2)) lsl 16)
+  lor (Char.code (String.unsafe_get s (p + 3)) lsl 24)
+
 let u32 r limit =
   if limit - r.pos < 4 then fail "truncated u32";
-  let v = Int32.to_int (String.get_int32_le r.s r.pos) land 0xFFFFFFFF in
+  let v = u32_at r.s r.pos in
   r.pos <- r.pos + 4;
   v
 
@@ -240,21 +252,15 @@ let check_magic s =
   if String.length s < 4 then fail "truncated magic";
   if s.[3] <> version then failf "unsupported binary XML version %d" (Char.code s.[3])
 
-(* Header pass shared by the decoders: [on_name flags local uri_opt]. *)
-let read_header r limit ~keep on_name =
+(* Header pass shared by the decoders: [on_name index local uri_opt]. *)
+let read_header r limit on_name =
   let count = varint r limit in
   if count > limit - r.pos then fail "name count out of bounds";
   for i = 0 to count - 1 do
     let flags = u8 r limit in
-    if keep flags then begin
-      let local = read_str r limit in
-      let uri = if flags land flag_has_uri <> 0 then Some (read_str r limit) else None in
-      on_name i flags local uri
-    end
-    else begin
-      skip_str r limit;
-      if flags land flag_has_uri <> 0 then skip_str r limit
-    end
+    let local = read_str r limit in
+    let uri = if flags land flag_has_uri <> 0 then Some (read_str r limit) else None in
+    on_name i local uri
   done;
   count
 
@@ -268,7 +274,7 @@ let body_limit r =
 let name_table r limit =
   let names = ref [||] in
   let n =
-    read_header r limit ~keep:(fun _ -> true) (fun i _ local uri ->
+    read_header r limit (fun i local uri ->
         if i = 0 then names := Array.make (max 1 16) no_name;
         if i >= Array.length !names then begin
           let bigger = Array.make (2 * Array.length !names) no_name in
@@ -334,14 +340,29 @@ let decode_any s = if is_binary s then decode s else Parser.parse s
 (* Streaming accessors: no tree construction                           *)
 (* ------------------------------------------------------------------ *)
 
-let synopsis s =
+(* The header's element names, in place: [f off len] for each name used
+   as an element, whose local part is [String.sub s off len]. Nothing is
+   copied; a name is reported only once its whole header entry (URI
+   included) has been read. *)
+let iter_synopsis s f =
   check_magic s;
   let r = { s; pos = 4 } in
+  let limit = String.length s in
+  let count = varint r limit in
+  if count > limit - r.pos then fail "name count out of bounds";
+  for _ = 1 to count do
+    let flags = u8 r limit in
+    let len = varint r limit in
+    if len < 0 || len > limit - r.pos then fail "string length out of bounds";
+    let off = r.pos in
+    r.pos <- r.pos + len;
+    if flags land flag_has_uri <> 0 then skip_str r limit;
+    if flags land flag_element <> 0 then f off len
+  done
+
+let synopsis s =
   let acc = ref [] in
-  ignore
-    (read_header r (String.length s)
-       ~keep:(fun flags -> flags land flag_element <> 0)
-       (fun _ _ local _ -> acc := local :: !acc));
+  iter_synopsis s (fun off len -> acc := String.sub s off len :: !acc);
   List.rev !acc
 
 (* Header pass that keeps only local names (no interning): the table an
@@ -349,7 +370,7 @@ let synopsis s =
 let local_table r limit =
   let locals = ref [||] in
   let n =
-    read_header r limit ~keep:(fun _ -> true) (fun i _ local _ ->
+    read_header r limit (fun i local _ ->
         if i = 0 then locals := Array.make 16 "";
         if i >= Array.length !locals then begin
           let bigger = Array.make (2 * Array.length !locals) "" in
@@ -359,6 +380,31 @@ let local_table r limit =
         !locals.(i) <- local)
   in
   (!locals, n)
+
+(* Validation has always accepted a negative index (an overlong varint);
+   [check] keeps that verdict, and the scans that use the index guard it
+   with [local_at]. *)
+let name_index r n limit =
+  let idx = varint r limit in
+  if idx >= n then failf "name index %d out of range" idx;
+  idx
+
+let local_at locals idx =
+  if idx < 0 then failf "name index %d out of range" idx;
+  locals.(idx)
+
+(* After an element's name index: skip its attribute block and read its
+   content length, checked against [limit]. *)
+let content_length r n limit =
+  let nattrs = varint r limit in
+  if nattrs > limit - r.pos then fail "attribute count out of bounds";
+  for _ = 1 to nattrs do
+    ignore (name_index r n limit);
+    skip_str r limit
+  done;
+  let clen = u32 r limit in
+  if clen > limit - r.pos then fail "subtree length out of bounds";
+  clen
 
 (* The token stream is self-describing pre-order: a full scan just reads
    tokens linearly, never recursing — content lengths are only needed
@@ -371,14 +417,11 @@ let iter_names s f =
   while r.pos < limit do
     match u8 r limit with
     | 0x01 ->
-      let idx = varint r limit in
-      if idx >= n then failf "name index %d out of range" idx;
-      f locals.(idx);
+      f (local_at locals (name_index r n limit));
       let nattrs = varint r limit in
       if nattrs > limit - r.pos then fail "attribute count out of bounds";
       for _ = 1 to nattrs do
-        let aidx = varint r limit in
-        if aidx >= n then failf "name index %d out of range" aidx;
+        ignore (name_index r n limit);
         skip_str r limit
       done;
       ignore (u32 r limit)
@@ -389,37 +432,23 @@ let iter_names s f =
     | t -> failf "unknown token 0x%02x" t
   done
 
-(* Skip one attribute block + the subtree of the element whose tag byte
-   was just consumed. *)
-let skip_element_after_tag r n limit =
-  let idx = varint r limit in
-  if idx >= n then failf "name index %d out of range" idx;
-  let nattrs = varint r limit in
-  if nattrs > limit - r.pos then fail "attribute count out of bounds";
-  for _ = 1 to nattrs do
-    let aidx = varint r limit in
-    if aidx >= n then failf "name index %d out of range" aidx;
-    skip_str r limit
-  done;
-  let clen = u32 r limit in
-  if clen > limit - r.pos then fail "subtree length out of bounds";
-  idx, clen
-
 let root_children s =
   check_magic s;
   let r = { s; pos = 4 } in
   let locals, n = local_table r (String.length s) in
   let limit = body_limit r in
   if u8 r limit <> tok_element then fail "root token is not an element";
-  let _, clen = skip_element_after_tag r n limit in
+  ignore (name_index r n limit);
+  let clen = content_length r n limit in
   let cend = r.pos + clen in
   let acc = ref [] in
   while r.pos < cend do
     match u8 r cend with
     | 0x01 ->
       (* O(1) child skip: the content length jumps the whole subtree. *)
-      let idx, clen = skip_element_after_tag r n cend in
-      acc := locals.(idx) :: !acc;
+      let idx = name_index r n cend in
+      let clen = content_length r n cend in
+      acc := local_at locals idx :: !acc;
       r.pos <- r.pos + clen
     | 0x02 | 0x03 -> skip_str r cend
     | 0x04 ->
@@ -433,41 +462,108 @@ let root_children s =
 (* Validation                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Validation is the restart path's per-record cost, so it threads the
+   read position through its helpers as an int instead of mutating a
+   reader: the position stays in a register, and each helper returns the
+   position after what it read. It fails with the same messages, in the
+   same order, as the reader-based passes above. It copies nothing: the
+   header is skipped, not tabled, and the end offsets of the enclosing
+   non-empty subtrees live in an int array used as a stack, so lengths are
+   checked to nest exactly. *)
+
+(* Position after the varint at [p]; fails where [varint] would. *)
+let[@inline] varint_end s p limit =
+  let q = ref p in
+  while
+    if !q - p > 8 then fail "varint too long";
+    if !q >= limit then fail "truncated payload";
+    Char.code (String.unsafe_get s !q) >= 0x80
+  do
+    incr q
+  done;
+  !q + 1
+
+(* Value of the varint at [p], which [varint_end] has accepted. *)
+let[@inline] varint_at s p =
+  let acc = ref 0 and q = ref p in
+  while Char.code (String.unsafe_get s !q) >= 0x80 do
+    acc := !acc lor ((Char.code (String.unsafe_get s !q) land 0x7f) lsl (7 * (!q - p)));
+    incr q
+  done;
+  !acc lor (Char.code (String.unsafe_get s !q) lsl (7 * (!q - p)))
+
+(* Position after the length-prefixed string at [p]. *)
+let[@inline] str_end s p limit =
+  let q = varint_end s p limit in
+  let n = varint_at s p in
+  if n < 0 || n > limit - q then fail "string length out of bounds";
+  q + n
+
 let check s =
   match
     check_magic s;
-    let r = { s; pos = 4 } in
-    let _, n = local_table r (String.length s) in
-    let limit = body_limit r in
-    (* Walk every token once, tracking the stack of enclosing subtree
-       end offsets so lengths are checked to nest exactly. *)
-    let stack = ref [] in
-    let roots = ref 0 in
-    while r.pos < limit do
-      if !stack = [] then incr roots;
-      (match u8 r limit with
-      | 0x01 ->
-        let _, clen = skip_element_after_tag r n limit in
-        let cend = r.pos + clen in
-        let enclosing = match !stack with e :: _ -> e | [] -> limit in
-        if cend > enclosing then fail "subtree length out of bounds";
-        if clen > 0 then stack := cend :: !stack
-      | 0x02 | 0x03 -> skip_str r limit
-      | 0x04 ->
-        skip_str r limit;
-        skip_str r limit
-      | t -> failf "unknown token 0x%02x" t);
-      let rec pop () =
-        match !stack with
-        | e :: rest when r.pos = e ->
-          stack := rest;
-          pop ()
-        | e :: _ when r.pos > e -> fail "token overruns enclosing subtree"
-        | _ -> ()
-      in
-      pop ()
+    let limit = String.length s in
+    let pos = ref (varint_end s 4 limit) in
+    let n = varint_at s 4 in
+    if n > limit - !pos then fail "name count out of bounds";
+    for _ = 1 to n do
+      if !pos >= limit then fail "truncated payload";
+      let flags = Char.code (String.unsafe_get s !pos) in
+      pos := str_end s (!pos + 1) limit;
+      if flags land flag_has_uri <> 0 then pos := str_end s !pos limit
     done;
-    if !stack <> [] then fail "truncated subtree";
+    let e = varint_end s !pos limit in
+    let blen = varint_at s !pos in
+    pos := e;
+    if blen > limit - !pos then fail "truncated token stream";
+    if !pos + blen <> limit then fail "trailing bytes after token stream";
+    let stack = ref (Array.make 16 0) in
+    let depth = ref 0 in
+    let roots = ref 0 in
+    while !pos < limit do
+      if !depth = 0 then incr roots;
+      let tok = Char.code (String.unsafe_get s !pos) in
+      incr pos;
+      (match tok with
+      | 0x01 ->
+        let e = varint_end s !pos limit in
+        let idx = varint_at s !pos in
+        if idx >= n then failf "name index %d out of range" idx;
+        pos := varint_end s e limit;
+        let nattrs = varint_at s e in
+        if nattrs > limit - !pos then fail "attribute count out of bounds";
+        for _ = 1 to nattrs do
+          let e = varint_end s !pos limit in
+          let aidx = varint_at s !pos in
+          if aidx >= n then failf "name index %d out of range" aidx;
+          pos := str_end s e limit
+        done;
+        if limit - !pos < 4 then fail "truncated u32";
+        let clen = u32_at s !pos in
+        pos := !pos + 4;
+        if clen > limit - !pos then fail "subtree length out of bounds";
+        let cend = !pos + clen in
+        let enclosing = if !depth = 0 then limit else !stack.(!depth - 1) in
+        if cend > enclosing then fail "subtree length out of bounds";
+        if clen > 0 then begin
+          if !depth = Array.length !stack then begin
+            let bigger = Array.make (2 * !depth) 0 in
+            Array.blit !stack 0 bigger 0 !depth;
+            stack := bigger
+          end;
+          !stack.(!depth) <- cend;
+          incr depth
+        end
+      | 0x02 | 0x03 -> pos := str_end s !pos limit
+      | 0x04 -> pos := str_end s (str_end s !pos limit) limit
+      | t -> failf "unknown token 0x%02x" t);
+      while !depth > 0 && !stack.(!depth - 1) = !pos do
+        decr depth
+      done;
+      if !depth > 0 && !pos > !stack.(!depth - 1) then
+        fail "token overruns enclosing subtree"
+    done;
+    if !depth > 0 then fail "truncated subtree";
     if !roots <> 1 then failf "expected one root token, found %d" !roots
   with
   | () -> Ok ()

@@ -71,6 +71,15 @@ val synopsis : string -> string list
     @raise Decode_error if [s] is not a binary payload or the header is
     corrupt. *)
 
+val iter_synopsis : string -> (int -> int -> unit) -> unit
+(** [iter_synopsis s f] reads the same header as {!synopsis} and calls
+    [f off len] for each of its element names, whose local part is
+    [String.sub s off len]. No name is copied. A name is reported once
+    its whole header entry has been read.
+
+    @raise Decode_error as {!synopsis} does; calls made before the
+    failure are then void. *)
+
 val iter_names : string -> (string -> unit) -> unit
 (** [iter_names s f] calls [f] with the local name of every element
     start token, in document order, in one linear pass over the tokens.
@@ -88,7 +97,8 @@ val root_children : string -> string list
 val check : string -> (unit, string) result
 (** Full structural validation in one streaming pass: magic/version,
     name-index bounds, token framing, and subtree lengths that nest
-    exactly. Never builds a tree and never raises. *)
+    exactly. Never builds a tree, never copies a name and never raises;
+    its only allocations are the reader and a small nesting stack. *)
 
 val validate : string -> bool
 (** [validate s = Result.is_ok (check s)]. *)

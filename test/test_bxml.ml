@@ -142,15 +142,17 @@ let prop_admission_agrees =
       let from_tree =
         Prefilter.may_match ~requirements ~names:(Prefilter.element_names t)
       in
-      match Prefilter.payload_names (Bxml.encode t) with
+      let ix = Prefilter.index [ requirements ] in
+      match Prefilter.present_of_payload ix (Bxml.encode t) with
       | None -> false (* binary payloads must always yield a synopsis *)
-      | Some names -> Prefilter.may_match ~requirements ~names = from_tree)
+      | Some present -> Prefilter.admits ix present 0 = from_tree)
 
-let prop_payload_names_text_none =
-  QCheck.Test.make ~name:"payload_names on text is None (fallback path)"
-    ~count:100 Test_xml.arb_tree (fun t ->
+let prop_text_payloads_fall_back =
+  QCheck.Test.make ~name:"text payloads take the fallback" ~count:100
+    Test_xml.arb_tree (fun t ->
       let t = Tree.elem "root" [ t ] in
-      Prefilter.payload_names (Serializer.to_string t) = None)
+      Prefilter.present_of_payload (Prefilter.index [ [ "a" ] ]) (Serializer.to_string t)
+      = None)
 
 (* ---- engine integration: deferred materialization counters ---- *)
 
@@ -190,6 +192,232 @@ let test_admission_counters () =
   check bool_ "decoded bytes counted" true (decoded_bytes > 0);
   Store.close st
 
+(* ---- validation: the in-place checker against the list-stack oracle ---- *)
+
+(* The validator as it was before it became allocation-free: names copied
+   into a table, nesting tracked on a list. It is the reference the
+   current [Bxml.check] must agree with, verdict and message, on every
+   input. *)
+module Oracle = struct
+  exception Fail of string
+
+  let fail msg = raise (Fail msg)
+  let failf fmt = Printf.ksprintf fail fmt
+
+  type rd = { s : string; mutable pos : int }
+
+  let u8 r limit =
+    if r.pos >= limit then fail "truncated payload";
+    let b = Char.code r.s.[r.pos] in
+    r.pos <- r.pos + 1;
+    b
+
+  let varint r limit =
+    let rec go shift acc =
+      if shift > 56 then fail "varint too long";
+      let b = u8 r limit in
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b < 0x80 then acc else go (shift + 7) acc
+    in
+    go 0 0
+
+  let read_str r limit =
+    let n = varint r limit in
+    if n < 0 || n > limit - r.pos then fail "string length out of bounds";
+    let s = String.sub r.s r.pos n in
+    r.pos <- r.pos + n;
+    s
+
+  let skip_str r limit = ignore (read_str r limit)
+
+  let u32 r limit =
+    if limit - r.pos < 4 then fail "truncated u32";
+    let v = Int32.to_int (String.get_int32_le r.s r.pos) land 0xFFFFFFFF in
+    r.pos <- r.pos + 4;
+    v
+
+  let check_magic s =
+    if not (Bxml.is_binary s) then fail "not a binary XML payload";
+    if String.length s < 4 then fail "truncated magic";
+    if s.[3] <> '\x01' then failf "unsupported binary XML version %d" (Char.code s.[3])
+
+  let local_table r limit =
+    let count = varint r limit in
+    if count > limit - r.pos then fail "name count out of bounds";
+    let locals =
+      List.init count (fun _ ->
+          let flags = u8 r limit in
+          let local = read_str r limit in
+          if flags land 0x02 <> 0 then ignore (read_str r limit);
+          local)
+    in
+    (Array.of_list locals, count)
+
+  let body_limit r =
+    let total = String.length r.s in
+    let blen = varint r total in
+    if blen > total - r.pos then fail "truncated token stream";
+    if r.pos + blen <> total then fail "trailing bytes after token stream";
+    total
+
+  let skip_element_after_tag r n limit =
+    let idx = varint r limit in
+    if idx >= n then failf "name index %d out of range" idx;
+    let nattrs = varint r limit in
+    if nattrs > limit - r.pos then fail "attribute count out of bounds";
+    for _ = 1 to nattrs do
+      let aidx = varint r limit in
+      if aidx >= n then failf "name index %d out of range" aidx;
+      skip_str r limit
+    done;
+    let clen = u32 r limit in
+    if clen > limit - r.pos then fail "subtree length out of bounds";
+    (idx, clen)
+
+  let check s =
+    match
+      check_magic s;
+      let r = { s; pos = 4 } in
+      let _, n = local_table r (String.length s) in
+      let limit = body_limit r in
+      let stack = ref [] in
+      let roots = ref 0 in
+      while r.pos < limit do
+        if !stack = [] then incr roots;
+        (match u8 r limit with
+        | 0x01 ->
+          let _, clen = skip_element_after_tag r n limit in
+          let cend = r.pos + clen in
+          let enclosing = match !stack with e :: _ -> e | [] -> limit in
+          if cend > enclosing then fail "subtree length out of bounds";
+          if clen > 0 then stack := cend :: !stack
+        | 0x02 | 0x03 -> skip_str r limit
+        | 0x04 ->
+          skip_str r limit;
+          skip_str r limit
+        | t -> failf "unknown token 0x%02x" t);
+        let rec pop () =
+          match !stack with
+          | e :: rest when r.pos = e ->
+            stack := rest;
+            pop ()
+          | e :: _ when r.pos > e -> fail "token overruns enclosing subtree"
+          | _ -> ()
+        in
+        pop ()
+      done;
+      if !stack <> [] then fail "truncated subtree";
+      if !roots <> 1 then failf "expected one root token, found %d" !roots
+    with
+    | () -> Ok ()
+    | exception Fail msg -> Error msg
+end
+
+(* Encoded example payloads: the handwritten documents above and
+   schema-generated instances of the example programs' ingress queues. *)
+let example_payloads () =
+  let schema_docs =
+    List.concat_map
+      (fun (file, queue, root) ->
+        let program = Demaq.Lang.Qdl.parse_program (Test_equivalence.read_example file) in
+        match
+          List.find_opt
+            (fun (q : Demaq.Mq.Defs.queue_def) -> q.Demaq.Mq.Defs.qname = queue)
+            (Demaq.Lang.Qdl.queues program)
+        with
+        | Some { Demaq.Mq.Defs.schema = Some schema; _ } ->
+          List.filter_map
+            (fun vary -> Demaq.Xml.Schema.example ~vary schema root)
+            [ 1; 2; 3 ]
+        | _ -> Alcotest.failf "%s: no schema for %s" file queue)
+      [
+        ("order_fanout.demaq", "orders", "order");
+        ("etl_pipeline.demaq", "raw_events", "event");
+        ("escalation.demaq", "tickets", "ticket");
+      ]
+  in
+  List.map Bxml.encode
+    (List.map Parser.parse
+       [
+         order_doc;
+         "<a/>";
+         "<a x=\"1\" y=\"two\"/>";
+         "<a><!--note--><?target data?><b/></a>";
+         "<ns:a xmlns:ns=\"urn:x\"><ns:b/><c/></ns:a>";
+         "<a><b>deep<c>er</c></b>tail</a>";
+       ]
+    @ schema_docs)
+
+(* Seeded mutants of [bin]: every truncation, and byte flips at random
+   positions to random values and to the values varints and tags care
+   about most. *)
+let mutants rng bin =
+  let len = String.length bin in
+  let truncations = List.init len (fun n -> String.sub bin 0 n) in
+  let flip pos v =
+    let b = Bytes.of_string bin in
+    Bytes.set b pos (Char.chr v);
+    Bytes.to_string b
+  in
+  let flips =
+    List.init 200 (fun i ->
+        let pos = Random.State.int rng len in
+        let v =
+          match i mod 4 with
+          | 0 -> 0x00
+          | 1 -> 0x80 lor Random.State.int rng 0x80
+          | 2 -> 0xFF
+          | _ -> Random.State.int rng 256
+        in
+        flip pos v)
+  in
+  truncations @ flips
+
+let test_check_matches_oracle () =
+  let rng = Random.State.make [| 14 |] in
+  let cases = ref 0 and rejected = ref 0 in
+  List.iter
+    (fun bin ->
+      List.iter
+        (fun m ->
+          incr cases;
+          let expected = Oracle.check m in
+          if Result.is_error expected then incr rejected;
+          if Bxml.check m <> expected then
+            Alcotest.failf "check disagrees with the oracle on %S" m)
+        (bin :: mutants rng bin))
+    (example_payloads ());
+  (* the mutants must exercise both verdicts, or the agreement is vacuous *)
+  check bool_ "some mutants rejected" true (!rejected > 0);
+  check bool_ "some mutants accepted" true (!rejected < !cases)
+
+let test_check_deep_nesting () =
+  let rec nest n acc = if n = 0 then acc else nest (n - 1) (Tree.elem "d" [ acc ]) in
+  let bin = Bxml.encode (nest 10_000 (Tree.elem "leaf" [ Tree.text "x" ])) in
+  check bool_ "10k-deep document validates" true (Bxml.check bin = Ok ());
+  check bool_ "oracle agrees" true (Oracle.check bin = Ok ());
+  let cut = String.sub bin 0 (String.length bin - 1) in
+  check bool_ "a truncated copy does not" true (Result.is_error (Bxml.check cut))
+
+(* Totality on mutated payloads: the validator and the synopsis admission
+   return a value or a typed error, whatever the bytes. *)
+let test_readers_total_on_mutants () =
+  let rng = Random.State.make [| 41 |] in
+  let ix = Prefilter.index [ [ "order" ]; [ "item"; "price" ]; []; [ "zzz" ] ] in
+  List.iter
+    (fun bin ->
+      List.iter
+        (fun m ->
+          (match Bxml.check m with
+          | Ok () | Error _ -> ()
+          | exception e -> Alcotest.failf "check raised %s" (Printexc.to_string e));
+          match Prefilter.present_of_payload ix m with
+          | Some _ | None -> ()
+          | exception e ->
+            Alcotest.failf "synopsis admission raised %s" (Printexc.to_string e))
+        (mutants rng bin))
+    (example_payloads ())
+
 let suite =
   [
     ("is_binary discrimination", `Quick, test_is_binary);
@@ -201,8 +429,11 @@ let suite =
     ("iter_names visits every element", `Quick, test_iter_names);
     ("parse_many batch bodies", `Quick, test_parse_many);
     ("admission counters after restart", `Quick, test_admission_counters);
+    ("check agrees with the list-stack oracle on mutants", `Quick, test_check_matches_oracle);
+    ("check validates a 10k-deep document", `Quick, test_check_deep_nesting);
+    ("check and synopsis admission are total on mutants", `Quick, test_readers_total_on_mutants);
     QCheck_alcotest.to_alcotest prop_bxml_roundtrip;
     QCheck_alcotest.to_alcotest prop_synopsis_agrees;
     QCheck_alcotest.to_alcotest prop_admission_agrees;
-    QCheck_alcotest.to_alcotest prop_payload_names_text_none;
+    QCheck_alcotest.to_alcotest prop_text_payloads_fall_back;
   ]

@@ -7,7 +7,11 @@
 
    The pair compared here is [merged_plans] true (the guarded plan) and
    false (one unguarded plan entry per rule, the reference semantics),
-   both at [workers = 1]. *)
+   both at [workers = 1].
+
+   A second pair compares rule admission: decided on a binary payload's
+   header bytes, against deciding it on the document's element-name set,
+   for every rule of the same programs. *)
 
 module Tree = Demaq.Xml.Tree
 module Schema = Demaq.Xml.Schema
@@ -158,6 +162,170 @@ let procurement_run ~merged seed =
 
 let test_procurement () = agree ~what:"procurement" procurement_run
 
+(* ---- admission on payload bytes == admission on element names ---- *)
+
+module Prefilter = Demaq.Lang.Prefilter
+module Compiler = Demaq.Lang.Compiler
+module Executor = Demaq.Engine.Executor
+module Plan_ir = Demaq.Xquery.Plan
+module Bxml = Demaq.Xml.Bxml
+module Name = Demaq.Xml.Name
+
+let shipped_programs () =
+  let dir = if Sys.file_exists "../examples" then "../examples" else "examples" in
+  let examples =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".demaq")
+    |> List.sort compare
+    |> List.map (fun f -> (f, read_example f))
+  in
+  check bool_ "the example programs are found" true (List.length examples >= 3);
+  examples @ [ ("procurement", Test_procurement.program) ]
+
+(* Seeded documents over the programs' requirement names plus noise.
+   Attributes draw from the same vocabulary, so a required name often
+   occurs only as an attribute. Every other document is namespaced: its
+   root is in a namespace, and so is one inner name in five. (The root
+   carries the namespace because the serializer declares a prefix only
+   on the first element that uses it, and the legacy text payload must
+   parse back.) *)
+let random_doc rng vocab =
+  let pick () = vocab.(Random.State.int rng (Array.length vocab)) in
+  let namespaced = Random.State.bool rng in
+  let name () =
+    if namespaced && Random.State.int rng 5 = 0 then Name.make ~uri:"urn:demaq:test" (pick ())
+    else Name.make (pick ())
+  in
+  let rec tree elem_name depth =
+    let attrs =
+      List.init (Random.State.int rng 3) (fun i ->
+          { Tree.attr_name = name (); attr_value = string_of_int i })
+    in
+    let children =
+      if depth = 0 then []
+      else
+        List.init (Random.State.int rng 4) (fun _ ->
+            if Random.State.int rng 4 = 0 then Tree.text "t" else tree (name ()) (depth - 1))
+    in
+    Tree.elem_ns ~attrs elem_name children
+  in
+  tree (if namespaced then Name.make ~uri:"urn:demaq:test" (pick ()) else name ()) 3
+
+let guarded_plans compiled =
+  List.filter
+    (fun (p : Compiler.plan) -> p.Compiler.exec.Plan_ir.p_guarded <> [])
+    (Compiler.plans compiled)
+
+let requirement_names compiled =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun (p : Compiler.plan) ->
+         List.concat_map
+           (fun (g : Plan_ir.guarded) -> g.Plan_ir.g_requirements)
+           p.Compiler.exec.Plan_ir.p_guarded)
+       (Compiler.plans compiled))
+
+(* Per rule of [plan]: the verdict on the binary payload's header, on the
+   legacy text payload, and the reference [element_names] + [may_match]. *)
+let verdicts (plan : Compiler.plan) tree =
+  let ix = plan.Compiler.admission in
+  let rules = plan.Compiler.exec.Plan_ir.p_guarded in
+  let names = Prefilter.element_names tree in
+  let reference =
+    List.map
+      (fun (g : Plan_ir.guarded) ->
+        Prefilter.may_match ~requirements:g.Plan_ir.g_requirements ~names)
+      rules
+  in
+  let of_present p = List.mapi (fun i _ -> Prefilter.admits ix p i) rules in
+  let binary =
+    match Prefilter.present_of_payload ix (Bxml.encode tree) with
+    | Some p -> of_present p
+    | None -> Alcotest.fail "a binary payload has no readable header"
+  in
+  let text =
+    let payload = Demaq.xml_to_string tree in
+    match Prefilter.present_of_payload ix payload with
+    | Some _ -> Alcotest.fail "a text payload was read as binary"
+    | None ->
+      of_present (Prefilter.present_of_names ix (Prefilter.element_names (Demaq.xml payload)))
+  in
+  (reference, binary, text)
+
+let docs_per_program = 150
+
+let test_admission_equivalence () =
+  List.iter
+    (fun (what, src) ->
+      let program = Qdl.parse_program src in
+      let compiled = Compiler.compile program in
+      let reqs = requirement_names compiled in
+      check bool_ (what ^ " has guarded rules") true (reqs <> []);
+      let vocab = Array.of_list (reqs @ [ "noise"; "zz" ]) in
+      let rng = Random.State.make [| Hashtbl.hash what |] in
+      (* one document per required name, where it is only an attribute *)
+      let attribute_only =
+        List.map (fun n -> Tree.elem ~attrs:[ (n, "1") ] "noise" [ Tree.elem "zz" [] ]) reqs
+      in
+      let docs =
+        attribute_only @ List.init docs_per_program (fun _ -> random_doc rng vocab)
+      in
+      let cfg = { S.default_config with S.footprint_dispatch = true; S.workers = 1 } in
+      let st = Demaq.Store.Message_store.open_store Demaq.Store.Message_store.default_config in
+      let ctx =
+        Executor.create ~cfg ~qm:(Demaq.Mq.Queue_manager.create st) ~st ~net:(Net.create ())
+          ~compiled ~clk:(Demaq.Engine.Clock.create ()) ()
+      in
+      let message ~queue ~raw ~body =
+        {
+          Message.rid = 1;
+          queue;
+          raw;
+          body;
+          props = [];
+          memberships = [];
+          prov = Message.no_provenance;
+          enqueued_at = 0;
+          processed = false;
+        }
+      in
+      List.iter
+        (fun (plan : Compiler.plan) ->
+          List.iteri
+            (fun i tree ->
+              let reference, binary, text = verdicts plan tree in
+              let label kind = Printf.sprintf "%s, %s, doc %d: %s" what plan.Compiler.target i kind in
+              check (Alcotest.list bool_) (label "header bytes") reference binary;
+              check (Alcotest.list bool_) (label "legacy text") reference text;
+              if not plan.Compiler.on_slicing then begin
+                (* footprint resources from the header bytes, body never
+                   decoded, equal those from the decoded tree *)
+                let raw = Bxml.encode tree in
+                let on_bytes =
+                  message ~queue:plan.Compiler.target ~raw:(Lazy.from_val raw)
+                    ~body:(lazy (Bxml.decode raw))
+                in
+                let on_tree =
+                  message ~queue:plan.Compiler.target
+                    ~raw:(Lazy.from_val (Demaq.xml_to_string tree))
+                    ~body:(Lazy.from_val tree)
+                in
+                check (Alcotest.list Alcotest.string) (label "footprint resources")
+                  (Executor.resources_for ctx on_tree)
+                  (Executor.resources_for ctx on_bytes);
+                check bool_ (label "no decode") false (Message.body_forced on_bytes)
+              end)
+            docs)
+        (guarded_plans compiled);
+      (* the attribute-only documents must be rejected by a rule that
+         requires the name, or the attribute case tests nothing *)
+      check bool_ (what ^ ": an attribute never satisfies a requirement") true
+        (List.for_all2
+           (fun n tree ->
+             not (Prefilter.may_match ~requirements:[ n ] ~names:(Prefilter.element_names tree)))
+           reqs attribute_only))
+    (shipped_programs ())
+
 let suite =
   [
     ( "merged == per-rule: order_fanout",
@@ -170,4 +338,5 @@ let suite =
       `Quick,
       test_example ~file:"escalation.demaq" ~queue:"tickets" ~root:"ticket" );
     ("merged == per-rule: procurement (Figs. 5-10)", `Quick, test_procurement);
+    ("admission on payload bytes == on element names", `Quick, test_admission_equivalence);
   ]

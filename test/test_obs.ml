@@ -555,6 +555,12 @@ let test_provenance_across_crash_restart () =
   let srv2 = S.deploy ~config ~store:st2 obs_program in
   check (Alcotest.option string_) "rid still resolves" (Some flow)
     (S.flow_id_of_rid srv2 rid);
+  (* the recovery pass refilled the bounded flow store itself, not only
+     the store scan behind [flow_nodes] *)
+  check (Alcotest.option string_) "flow store refilled" (Some flow)
+    (Flow.flow_of_rid (S.flow_store srv2) rid);
+  check int_ "refilled flow has both hops" 2
+    (List.length (Flow.nodes (S.flow_store srv2) flow));
   let nodes = S.flow_nodes srv2 flow in
   check int_ "both hops survive" 2 (List.length nodes);
   let child =

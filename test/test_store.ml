@@ -135,6 +135,189 @@ let test_wal_reset () =
       | Wal.Checkpoint -> ()));
   check bool_ "only post-reset" true (!txns = [ 2 ])
 
+(* ---- crc: slicing-by-8 against a bytewise reference ---- *)
+
+(* The classic one-table, one-byte-at-a-time CRC-32: the values the log
+   has always been written with. *)
+let reference_crc s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+  !c lxor 0xFFFFFFFF
+
+(* a string, and an in-range (off, len) whose length is 0-7 or not a
+   multiple of 8 most of the time *)
+let gen_crc_case =
+  QCheck.Gen.(
+    string_size ~gen:char (int_range 0 100) >>= fun s ->
+    let n = String.length s in
+    int_range 0 n >>= fun off ->
+    let room = n - off in
+    oneof
+      [
+        map (fun l -> min l room) (int_range 0 7);
+        map (fun l -> if l mod 8 = 0 && l > 0 then l - 1 else l) (int_range 0 room);
+        int_range 0 room;
+      ]
+    >|= fun len -> (s, off, len))
+
+let prop_crc_sub_reference =
+  QCheck.Test.make ~name:"Crc32.sub = bytewise CRC of String.sub" ~count:2000
+    (QCheck.make gen_crc_case ~print:(fun (s, off, len) ->
+         Printf.sprintf "%S off=%d len=%d" s off len))
+    (fun (s, off, len) -> Crc32.sub s off len = reference_crc (String.sub s off len))
+
+let test_crc32_sub_range () =
+  check int_ "whole-string sub = string" (Crc32.string "123456789")
+    (Crc32.sub "xx123456789yy" 2 9);
+  List.iter
+    (fun (off, len) ->
+      match Crc32.sub "abcdefgh" off len with
+      | _ -> Alcotest.failf "sub %d %d accepted" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 0); (0, -1); (7, 2); (9, 0); (0, 9); (max_int, 1) ]
+
+(* ---- wal: a log written before the in-place replay ---- *)
+
+let hex s = String.init (String.length s / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
+
+(* The bytes of a log written by the previous WAL code (bytewise CRC,
+   per-integer Bytes encoding, copying replay): one commit with a binary
+   and a legacy text insert, one with Mark_processed and Slice_reset, a
+   checkpoint, and one more Mark_processed. *)
+let golden_wal =
+  hex
+    (String.concat ""
+       [
+     "c800000000000000784dca800000000043010000000000000002000000000000";
+     "0049010000000000000006000000000000006f72646572733e00000000000000";
+     "004258010401056f726465720002696401046974656d0301780575726e3a6e1e";
+     "01000101013714000000010200060000000204676c7565010300000000000a00";
+     "00000000000070726f707300626c6f6203000000000000004902000000000000";
+     "0006000000000000006c656761637911000000000000003c6120623d2231223e";
+     "746578743c2f613e000000000000000004000000000000003f00000000000000";
+     "5665bbec00000000430200000000000000020000000000000050010000000000";
+     "0000520a000000000000006279437573746f6d65720200000000000000633702";
+     "00000000000000010000000000000095770c33000000004b1a00000000000000";
+     "f20f5d1b00000000430300000000000000010000000000000050020000000000";
+     "0000";
+       ])
+
+let golden_payload =
+  hex
+    (String.concat ""
+       [
+     "004258010401056f726465720002696401046974656d0301780575726e3a6e1e";
+     "01000101013714000000010200060000000204676c756501030000000000";
+       ])
+
+let golden_records =
+  [
+    Wal.Commit
+      {
+        txn = 1;
+        ops =
+          [
+            Wal.Insert
+              { rid = 1; queue = "orders"; payload = golden_payload; extra = "props\x00blob"; enqueued_at = 3 };
+            Wal.Insert
+              { rid = 2; queue = "legacy"; payload = "<a b=\"1\">text</a>"; extra = ""; enqueued_at = 4 };
+          ];
+      };
+    Wal.Commit
+      {
+        txn = 2;
+        ops =
+          [
+            Wal.Mark_processed { rid = 1 };
+            Wal.Slice_reset { slicing = "byCustomer"; key = "c7"; lifetime = 2 };
+          ];
+      };
+    Wal.Checkpoint;
+    Wal.Commit { txn = 3; ops = [ Wal.Mark_processed { rid = 2 } ] };
+  ]
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
+
+let test_wal_golden_fixture () =
+  let dir = fresh_dir () in
+  let path = Filename.concat dir "wal.log" in
+  write_file path golden_wal;
+  let records = ref [] in
+  let valid = Wal.replay path (fun r -> records := r :: !records) in
+  check int_ "whole log intact" (String.length golden_wal) valid;
+  check bool_ "same records" true (List.rev !records = golden_records);
+  (* the same bytes come out of today's encoder *)
+  let path2 = Filename.concat dir "wal2.log" in
+  let w = Wal.open_log ~sync:Wal.Sync_never path2 in
+  List.iter (Wal.append w) golden_records;
+  Wal.close w;
+  check bool_ "encoder writes identical bytes" true
+    (In_channel.with_open_bin path2 In_channel.input_all = golden_wal);
+  (* and the store recovers the state the old log describes *)
+  Sys.remove path2;
+  let st = Store.open_store (Store.durable_config ~sync:Wal.Sync_never dir) in
+  let m1 = Option.get (Store.get st 1) and m2 = Option.get (Store.get st 2) in
+  check string_ "binary payload" golden_payload (Store.payload st m1);
+  check string_ "text payload" "<a b=\"1\">text</a>" (Store.payload st m2);
+  check bool_ "both processed" true (m1.Store.processed && m2.Store.processed);
+  check int_ "slice lifetime" 2 (Store.slice_lifetime st ~slicing:"byCustomer" ~key:"c7");
+  Store.close st
+
+(* Replay of a mutated log: truncated anywhere or with a flipped byte, it
+   returns the intact prefix — a prefix of the original records — and
+   raises nothing. *)
+let test_wal_replay_total_on_mutants () =
+  let dir = fresh_dir () in
+  let path = Filename.concat dir "wal.log" in
+  let rng = Random.State.make [| 23 |] in
+  let is_prefix got =
+    let rec go = function
+      | [], _ -> true
+      | g :: gs, e :: es -> g = e && go (gs, es)
+      | _ :: _, [] -> false
+    in
+    go (got, golden_records)
+  in
+  let replay_mutant bytes =
+    write_file path bytes;
+    let records = ref [] in
+    match Wal.replay path (fun r -> records := r :: !records) with
+    | valid ->
+      check bool_ "valid prefix within the file" true (valid >= 0 && valid <= String.length bytes);
+      check bool_ "records are a prefix of the original" true (is_prefix (List.rev !records))
+    | exception e -> Alcotest.failf "replay raised %s" (Printexc.to_string e)
+  in
+  for n = 0 to String.length golden_wal - 1 do
+    replay_mutant (String.sub golden_wal 0 n)
+  done;
+  for _ = 1 to 500 do
+    let b = Bytes.of_string golden_wal in
+    let pos = Random.State.int rng (Bytes.length b) in
+    Bytes.set b pos (Char.chr (Random.State.int rng 256));
+    replay_mutant (Bytes.to_string b)
+  done;
+  (* a flipped body byte under a recomputed CRC reaches the record
+     decoder itself: it must stop at a typed error, never raise *)
+  let first_len = Int64.to_int (String.get_int64_le golden_wal 0) in
+  for _ = 1 to 500 do
+    let b = Bytes.of_string golden_wal in
+    Bytes.set b (16 + Random.State.int rng first_len) (Char.chr (Random.State.int rng 256));
+    Bytes.set_int64_le b 8 (Int64.of_int (Crc32.sub (Bytes.to_string b) 16 first_len));
+    write_file path (Bytes.to_string b);
+    match Wal.replay path ignore with
+    | valid -> check bool_ "valid prefix within the file" true (valid >= 0 && valid <= Bytes.length b)
+    | exception e -> Alcotest.failf "replay raised %s" (Printexc.to_string e)
+  done
+
 (* ---- message store: in-memory transactions ---- *)
 
 let mem_store () = Store.open_store Store.default_config
@@ -490,12 +673,16 @@ let suite =
   [
     ("vec", `Quick, test_vec);
     ("crc32 known value", `Quick, test_crc32);
+    ("crc32 sub range checks", `Quick, test_crc32_sub_range);
+    QCheck_alcotest.to_alcotest prop_crc_sub_reference;
     ("codec roundtrip", `Quick, test_codec_roundtrip);
     ("codec truncation", `Quick, test_codec_truncation);
     ("wal roundtrip", `Quick, test_wal_roundtrip);
     ("wal torn tail ignored", `Quick, test_wal_torn_tail);
     ("wal corruption detected", `Quick, test_wal_corruption);
     ("wal reset", `Quick, test_wal_reset);
+    ("wal golden fixture replays", `Quick, test_wal_golden_fixture);
+    ("wal replay total on mutated logs", `Quick, test_wal_replay_total_on_mutants);
     ("store basics", `Quick, test_store_basic);
     ("txn abort undoes", `Quick, test_store_abort);
     ("slice lifetimes", `Quick, test_store_slice_lifetimes);
