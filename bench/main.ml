@@ -184,58 +184,6 @@ let b1 () =
       ignore (Qm.slice_messages qm ~use_index:false ~slicing:"byOrder" ~key:"k7" ()))
 
 (* ------------------------------------------------------------------ *)
-(* B2: merged per-queue plans vs per-rule evaluation (§4.4.1)          *)
-(* ------------------------------------------------------------------ *)
-
-(* [rules] rules spread over 4 distinct conditions: a realistic rule set
-   where several reactions share a trigger condition. The merged plan
-   factors each shared condition into a single evaluation (§3.3/§4.4.1);
-   per-rule evaluation re-tests it for every rule. *)
-let b2_program rules =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    "create queue in kind basic mode persistent\ncreate queue out kind basic mode persistent\n";
-  for i = 1 to rules do
-    Buffer.add_string buf
-      (Printf.sprintf
-         "create rule r%d for in if (//order[seq mod %d = 0][customer != 'nobody']) then do enqueue <hit n=\"%d\"/> into out\n"
-         i ((i mod 4) + 1) i)
-  done;
-  Buffer.contents buf
-
-let b2_run ~rules ~messages ~merged =
-  let cfg = { S.default_config with S.merged_plans = merged } in
-  let srv = S.deploy ~config:cfg (b2_program rules) in
-  for i = 1 to messages do
-    ignore (S.inject srv ~queue:"in" (Demaq.xml (order_payload "k" i)))
-  done;
-  secs (fun () -> ignore (S.run srv))
-
-let b2 () =
-  headline "B2 rule_merging"
-    "one merged execution plan per queue vs independent per-rule evaluation";
-  table_header
-    [ ("rules", 6); ("messages", 9); ("per-rule msg/s", 15); ("merged msg/s", 13);
-      ("speedup", 8) ];
-  List.iter
-    (fun rules ->
-      let messages = scale 400 in
-      let t_per_rule = b2_run ~rules ~messages ~merged:false in
-      let t_merged = b2_run ~rules ~messages ~merged:true in
-      row
-        [
-          cell 6 "%d" rules; cell 9 "%d" messages;
-          cell 15 "%.0f" (float messages /. t_per_rule);
-          cell 13 "%.0f" (float messages /. t_merged);
-          cell 8 "%.2fx" (t_per_rule /. t_merged);
-        ])
-    [ 2; 8; 32 ];
-  register_bechamel "B2/per-rule-16rules-20msgs" (fun () ->
-      ignore (b2_run ~rules:16 ~messages:20 ~merged:false));
-  register_bechamel "B2/merged-16rules-20msgs" (fun () ->
-      ignore (b2_run ~rules:16 ~messages:20 ~merged:true))
-
-(* ------------------------------------------------------------------ *)
 (* B3: slice- vs queue-granularity conflict resources (§4.3)          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1271,40 +1219,13 @@ let b15 () =
       ignore (Bxml.synopsis bin))
 
 (* ------------------------------------------------------------------ *)
-(* B16: compile-on-deploy rule plans (PR 8)                            *)
+(* B16: conflict-set width under compiled footprints                   *)
 (* ------------------------------------------------------------------ *)
 
 module Compiler = Demaq.Lang.Compiler
 module Qdl = Demaq.Lang.Qdl
 
-(* Part 1: the guarded plan vs per-rule interpretation. [rules] rules
-   share two guards and one common count-sum subexpression; the compiled
-   plan evaluates each guard and the hoisted sum once per message, while
-   per-rule interpretation re-evaluates them for every rule. Unlike B2
-   (which measures the legacy factored merge on condition-only sharing),
-   this measures the full pipeline: guard sharing + CSE hoisting. *)
-let b16_program rules =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "create queue in kind basic mode persistent\ncreate queue out kind basic mode persistent\n";
-  for i = 1 to rules do
-    Buffer.add_string buf
-      (Printf.sprintf
-         "create rule r%d for in if (//order[seq mod %d = 0][customer != \"nobody\"]) \
-          then do enqueue <hit n=\"%d\">{count(//item) + count(//seq) + count(//customer)}</hit> into out\n"
-         i ((i mod 2) + 1) i)
-  done;
-  Buffer.contents buf
-
-let b16_run ~rules ~messages ~merged =
-  let cfg = { S.default_config with S.merged_plans = merged; S.workers = 1 } in
-  let srv = S.deploy ~config:cfg (b16_program rules) in
-  for i = 1 to messages do
-    ignore (S.inject srv ~queue:"in" (Demaq.xml (order_payload "k" i)))
-  done;
-  secs (fun () -> ignore (S.run srv))
-
-(* Part 2: conflict-set width. An [n]-way fanout queue whose rules each
+(* Conflict-set width. An [n]-way fanout queue whose rules each
    write a different output queue: under queue-granularity dispatch every
    message conflicts with every other on ["q:in"]; under the compiled
    footprints messages admitted by different rules are disjoint. The
@@ -1361,32 +1282,8 @@ let b16_width_run ~n ~messages ~granularity =
 
 let b16 () =
   headline "B16 rule_compilation"
-    "compiled guarded plans: shared guards + hoisted CSE vs per-rule; conflict-set width";
-  table_header
-    [ ("rules", 6); ("messages", 9); ("per-rule msg/s", 15); ("compiled msg/s", 15);
-      ("speedup", 8) ];
-  let rules = 8 in
-  let messages = scale 400 in
-  let t_per_rule = b16_run ~rules ~messages ~merged:false in
-  let t_merged = b16_run ~rules ~messages ~merged:true in
-  row
-    [
-      cell 6 "%d" rules; cell 9 "%d" messages;
-      cell 15 "%.0f" (float messages /. t_per_rule);
-      cell 15 "%.0f" (float messages /. t_merged);
-      cell 8 "%.2fx" (t_per_rule /. t_merged);
-    ];
-  json_add
-    (Printf.sprintf
-       "{\"bench\": \"B16\", \"results\": [{\"mode\": \"per_rule\", \"rules\": %d, \
-        \"messages\": %d, \"msg_per_s\": %.0f}, {\"mode\": \"merged\", \"rules\": %d, \
-        \"messages\": %d, \"msg_per_s\": %.0f, \"speedup\": %.2f}]}"
-       rules messages
-       (float messages /. t_per_rule)
-       rules messages
-       (float messages /. t_merged)
-       (t_per_rule /. t_merged));
-  Printf.printf "\nconflict-set width (%d-way fanout, dispatcher waves):\n" 8;
+    "conflict-set width under compiled footprints vs whole-queue dispatch";
+  Printf.printf "conflict-set width (%d-way fanout, dispatcher waves):\n" 8;
   table_header
     [ ("granularity", 11); ("messages", 9); ("avg width", 10); ("max width", 10) ];
   let messages = 256 in
@@ -1409,11 +1306,7 @@ let b16 () =
      recorded for EXPERIMENTS.md, never gated by compare.py *)
   json_add
     (Printf.sprintf "{\"bench\": \"B16w\", \"results\": [%s]}"
-       (String.concat ", " width_results));
-  register_bechamel "B16/per-rule-8rules-20msgs" (fun () ->
-      ignore (b16_run ~rules:8 ~messages:20 ~merged:false));
-  register_bechamel "B16/compiled-8rules-20msgs" (fun () ->
-      ignore (b16_run ~rules:8 ~messages:20 ~merged:true))
+       (String.concat ", " width_results))
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: design choices called out in DESIGN.md §7                *)
@@ -1979,7 +1872,7 @@ let run_bechamel () =
 (* ------------------------------------------------------------------ *)
 
 let all_benches =
-  [ ("B1", b1); ("B2", b2); ("B3", b3); ("B4", b4); ("B5", b5); ("B6", b6);
+  [ ("B1", b1); ("B3", b3); ("B4", b4); ("B5", b5); ("B6", b6);
     ("B7", b7); ("B8", b8); ("B9", b9); ("B10", b10); ("B11", b11);
     ("B12", b12); ("B13", b13); ("B15", b15); ("B16", b16); ("B17", b17);
     ("B18", b18);

@@ -22,7 +22,7 @@
 
     The submodules expose each subsystem: [Xml] (data model, parser,
     serializer, schema, binary encoding), [Xquery] (the rule expression
-    language and its guarded-plan IR), [Store] (WAL, B-tree, heap file,
+    language), [Store] (WAL, B-tree, heap file,
     recoverable message store), [Mq] (queues, properties, slicings,
     retention), [Net] (simulated transports, SOAP/WSDL, HTTP ingress,
     load generator), [Lang] (QDL/QML front-end and rule compiler), [Engine]

@@ -66,7 +66,6 @@ let evolve (ctx : Executor.t) src =
               additions;
             let cfg = ctx.Executor.cfg in
             ctx.Executor.compiled <-
-              Compiler.compile ~optimize:cfg.Executor.optimize
-                ~merged:cfg.Executor.merged_plans combined;
+              Compiler.compile ~optimize:cfg.Executor.optimize combined;
             Ok ())
     end

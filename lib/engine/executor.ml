@@ -23,9 +23,8 @@
      queues see read-committed state, which single-worker mode — the
      deterministic reference — never exercises differently from the
      seed engine.
-   - Every message runs its compiled plans ({!Plan_ir}); per-rule
-     interpretation ([merged_plans = false]) is a compile-time lowering
-     to one unguarded plan entry per rule, not a second execution path.
+   - Every message runs the compiled rules of its pertinent plans, one
+     at a time in declaration order (per-rule interpretation).
    - Statistics live in a sharded [Demaq_obs.Metrics] registry: workers
      mutate their own shard without synchronization, reads aggregate.
      Lifecycle spans go to a bounded [Demaq_obs.Trace] ring with its own
@@ -42,7 +41,6 @@ module Store = Demaq_store.Message_store
 module Qm = Demaq_mq.Queue_manager
 module Message = Demaq_mq.Message
 module Defs = Demaq_mq.Defs
-module Plan_ir = Demaq_xquery.Plan
 module Compiler = Demaq_lang.Compiler
 module Prefilter = Demaq_lang.Prefilter
 module Network = Demaq_net.Network
@@ -56,7 +54,6 @@ let log = Logs.Src.create "demaq.executor" ~doc:"Demaq executor"
 module Log = (val Logs.src_log log : Logs.LOG)
 
 type config = {
-  merged_plans : bool;
   footprint_dispatch : bool;
       (* partition dispatch on the compiled rules' static conflict
          footprints instead of whole queues: same-queue messages whose
@@ -778,23 +775,19 @@ type attribution = {
 
 (* One compiled plan instance pending evaluation for a message.
    [pw_admit] is the per-rule admission verdict, aligned with the plan's
-   guarded rules; [prepare] flips entries the condition pre-filter rules
-   out. *)
+   rules; [prepare] flips entries the condition pre-filter rules out. *)
 type plan_work = {
-  pw_plan : Plan_ir.t;
-  pw_admission : Prefilter.index;  (* the plan's requirements, indexed *)
+  pw_plan : Compiler.plan;
   pw_slice_ctx : (string * string) option;
   pw_admit : bool array;
 }
 
 let plan_works_for t (m : Message.t) =
-  let work_of plan ctx =
+  let work_of (plan : Compiler.plan) ctx =
     {
-      pw_plan = plan.Compiler.exec;
-      pw_admission = plan.Compiler.admission;
+      pw_plan = plan;
       pw_slice_ctx = ctx;
-      pw_admit =
-        Array.make (List.length plan.Compiler.exec.Plan_ir.p_guarded) true;
+      pw_admit = Array.make (Array.length plan.Compiler.rules) true;
     }
   in
   let queue_work =
@@ -907,8 +900,8 @@ let message t rid =
 (* Setup phase, under [state_mu]: fetch the message, open the transaction,
    look up the pertinent rule plans and pre-filter them against the
    message's element names. Binary payloads carry their element names in
-   their header, so one pass over the header bytes decides every guarded
-   rule of a plan (Prefilter.present_of_payload); the body tree is
+   their header, so one pass over the header bytes decides every rule of a
+   plan (Prefilter.present_of_payload); the body tree is
    materialized only when at least one rule survives the filter — a
    message every pertinent rule prefilters away commits its no-op
    transaction without ever decoding. When tracing is
@@ -945,20 +938,20 @@ let prepare t ~acts ~now rid =
     if t.cfg.use_prefilter then
       List.iter
         (fun pw ->
-          let ix = pw.pw_admission in
+          let ix = pw.pw_plan.Compiler.admission in
           if Prefilter.needs_names ix then begin
             let present =
               match Prefilter.present_of_payload ix (Message.raw m) with
               | Some present -> present
               | None -> Prefilter.present_of_names ix (body_names t m)
             in
-            List.iteri
-              (fun i (g : Plan_ir.guarded) ->
+            Array.iteri
+              (fun i (cr : Compiler.compiled_rule) ->
                 if not (Prefilter.admits ix present i) then begin
                   pw.pw_admit.(i) <- false;
-                  skip g.Plan_ir.g_name
+                  skip cr.Compiler.cr_name
                 end)
-              pw.pw_plan.Plan_ir.p_guarded
+              pw.pw_plan.Compiler.rules
           end)
         work;
     let live = List.exists (fun pw -> Array.exists Fun.id pw.pw_admit) work in
@@ -1000,35 +993,35 @@ let evaluate t txn blamed ~acts (m : Message.t) work =
           { env with Context.item = Some (Value.Node (message_node t m)) }
         in
         let tagged = ref [] in
-        Plan_ir.eval
-          ~admitted:(fun i _ -> pw.pw_admit.(i))
-          ~before:(fun (g : Plan_ir.guarded) ->
-            Metrics.incr t.met.m_rule_evaluations;
-            blamed := Some (g.Plan_ir.g_name, g.Plan_ir.g_error_queue);
-            Option.iter Fault.before_eval t.fault)
-          ~emit:(fun (g : Plan_ir.guarded) outcome ->
-            match outcome with
-            | Plan_ir.Updates updates ->
-              if Trace.enabled t.spans then
-                acts :=
+        Array.iteri
+          (fun i (cr : Compiler.compiled_rule) ->
+            if pw.pw_admit.(i) then begin
+              Metrics.incr t.met.m_rule_evaluations;
+              blamed := Some (cr.Compiler.cr_name, cr.Compiler.cr_error_queue);
+              Option.iter Fault.before_eval t.fault;
+              match Eval.eval_with_updates env cr.Compiler.cr_body with
+              | _, updates ->
+                if Trace.enabled t.spans then
+                  acts :=
+                    {
+                      Trace.a_rule = cr.Compiler.cr_name;
+                      a_updates = List.length updates;
+                      a_skipped = false;
+                    }
+                    :: !acts;
+                let at =
                   {
-                    Trace.a_rule = g.Plan_ir.g_name;
-                    a_updates = List.length updates;
-                    a_skipped = false;
+                    at_rule = cr.Compiler.cr_name;
+                    at_error_queue = cr.Compiler.cr_error_queue;
+                    at_slice_ctx = pw.pw_slice_ctx;
                   }
-                  :: !acts;
-              let at =
-                {
-                  at_rule = g.Plan_ir.g_name;
-                  at_error_queue = g.Plan_ir.g_error_queue;
-                  at_slice_ctx = pw.pw_slice_ctx;
-                }
-              in
-              tagged :=
-                List.fold_left (fun acc u -> (at, u) :: acc) !tagged updates
-            | Plan_ir.Failed description ->
-              fail g.Plan_ir.g_name g.Plan_ir.g_error_queue description)
-          env pw.pw_plan;
+                in
+                tagged :=
+                  List.fold_left (fun acc u -> (at, u) :: acc) !tagged updates
+              | exception Context.Eval_error description ->
+                fail cr.Compiler.cr_name cr.Compiler.cr_error_queue description
+            end)
+          pw.pw_plan.Compiler.rules;
         List.rev !tagged
       end)
     work

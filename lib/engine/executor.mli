@@ -36,10 +36,6 @@ module Trace = Demaq_obs.Trace
 module Flow = Demaq_obs.Flow
 
 type config = {
-  merged_plans : bool;
-      (** compile each target into one guarded plan (the default) instead
-          of one unguarded plan entry per rule; observationally
-          equivalent, including §3.6 error attribution *)
   footprint_dispatch : bool;
       (** partition dispatch on the compiled rules' static conflict
           footprints instead of whole queues: same-queue messages whose

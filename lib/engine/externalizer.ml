@@ -55,7 +55,7 @@ let creating_rule_route (t : E.t) (m : Message.t) =
     | Some rname ->
       List.find_map
         (fun plan ->
-          List.find_map
+          Array.find_map
             (fun (r : Compiler.compiled_rule) ->
               if r.cr_name = rname then r.cr_error_queue else None)
             plan.Compiler.rules)

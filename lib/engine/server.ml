@@ -30,7 +30,6 @@ let log = Logs.Src.create "demaq.server" ~doc:"Demaq server"
 module Log = (val Logs.src_log log : Logs.LOG)
 
 type config = Executor.config = {
-  merged_plans : bool;
   footprint_dispatch : bool;
   use_slice_index : bool;
   use_prefilter : bool;
@@ -61,10 +60,6 @@ let default_workers =
 
 let default_config =
   {
-    (* the compiled guarded plans are the default execution path; per-rule
-       interpretation remains as the reference semantics (benchmark B16
-       measures the gap) *)
-    merged_plans = true;
     footprint_dispatch = false;
     use_slice_index = true;
     use_prefilter = true;
@@ -542,9 +537,7 @@ let deploy ?(config = default_config) ?time_source ?store:st ?network:net
   List.iter (Qm.add_queue qm) (Qdl.queues program);
   List.iter (Qm.add_property qm) (Qdl.properties program);
   List.iter (Qm.add_slicing qm) (Qdl.slicings program);
-  let compiled =
-    Compiler.compile ~optimize:config.optimize ~merged:config.merged_plans program
-  in
+  let compiled = Compiler.compile ~optimize:config.optimize program in
   let net = match net with Some n -> n | None -> Network.create () in
   let ctx = Executor.create ~cfg:config ~qm ~st ~net ~compiled ~clk () in
   Store.instrument st ctx.Executor.reg;

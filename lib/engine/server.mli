@@ -10,14 +10,6 @@ module Value := Demaq_xquery.Value
 module Store := Demaq_store.Message_store
 
 type config = Executor.config = {
-  merged_plans : bool;
-      (** evaluate the rule compiler's guarded plan per queue — merged
-          bodies with per-rule guards, hoisted common subexpressions,
-          shared guard evaluations (§4.4.1; benchmark B16). The default:
-          observationally equivalent to per-rule interpretation, including
-          precise rule-level error attribution (§3.6). [false] compiles
-          one unguarded plan entry per rule: per-rule interpretation, the
-          reference semantics. *)
   footprint_dispatch : bool;
       (** partition dispatch on the compiled rules' static conflict
           footprints instead of whole queues: same-queue messages whose

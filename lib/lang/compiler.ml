@@ -18,29 +18,19 @@
       element name the target queue's schema can never admit
       ({!Prefilter.schema_vocabulary}) is dropped from the plan, with the
       reason kept for explain output;
-   2. guard splitting — every rule body of the conditional shape the
-      paper mandates in §3.3 is decomposed into guard/then/else, the
-      per-rule guard preserved inside the fused plan so §3.6 error
-      attribution survives the merge;
-   3. common-subexpression hoisting — pure, stable expressions occurring
-      in several rule bodies become plan-level bindings (an {!Ast.Bind}
-      when lowered back to an expression), evaluated once per message;
-   4. guard sharing — structurally identical stable guards get one guard
-      id, hence one evaluation per message;
-   5. conflict footprints — the set of queues/slices each rule's
+   2. conflict footprints — the set of queues/slices each rule's
       [do enqueue]/[qs:] calls can touch, with a ⊤ fallback for
       dynamically computed queue names; lowered to the dispatcher's
       conflict-resource strings and cached on the plan so the executor
       never recomputes them per dispatch.
 
-   The execution artifact is the guarded {!Demaq_xquery.Plan.t}. Without
-   [merged] (or without [optimize]) passes 2-4 are skipped and each rule
-   becomes one unguarded plan entry: per-rule interpretation, the
-   reference semantics the guarded plan is tested against. *)
+   A plan's execution artifact is its surviving rules, which the executor
+   interprets one at a time in declaration order; the plan adds the
+   admission index that decides all of them in one pass over a payload's
+   header. *)
 
 module Ast = Demaq_xquery.Ast
 module Value = Demaq_xquery.Value
-module Plan_ir = Demaq_xquery.Plan
 module Defs = Demaq_mq.Defs
 module Message = Demaq_mq.Message
 
@@ -48,7 +38,6 @@ type compiled_rule = {
   cr_name : string;
   cr_error_queue : string option;
   cr_body : Ast.expr;  (* rewritten *)
-  cr_original : Ast.expr;
   cr_requirements : string list;
       (* element names the triggering message must contain for the rule to
          possibly fire (condition pre-filtering, §4.4.1); empty = always
@@ -75,16 +64,15 @@ type conflict =
 type plan = {
   target : string;
   on_slicing : bool;
-  rules : compiled_rule list;  (* surviving rules, declaration order *)
+  rules : compiled_rule array;  (* surviving rules, declaration order *)
   pruned : (string * string) list;  (* statically dead: name, reason *)
-  exec : Plan_ir.t;  (* the execution plan: guarded, or one entry per rule *)
-  footprints : footprint list;  (* aligned with [exec.p_guarded] *)
+  footprints : footprint list;  (* aligned with [rules] *)
   conflicts : (string list * conflict) array;
-      (* per guarded rule: (pre-filter requirements, conflict resources) —
+      (* per rule: (pre-filter requirements, conflict resources) —
          the dispatch template, cached here so the executor derives a
          message's resources by admission filtering alone *)
   conflict_union : conflict;  (* union over all rules (no-synopsis case) *)
-  admission : Prefilter.index;  (* aligned with [exec.p_guarded] *)
+  admission : Prefilter.index;  (* aligned with [rules] *)
   queue_resource : string;  (* "q:" ^ target, interned once *)
 }
 
@@ -166,151 +154,6 @@ let supply_queue_default queue expr =
       | e -> e)
     expr
 
-(* ---- expression classification for hoisting and guard sharing ---- *)
-
-let expr_size e = Ast.fold_expr (fun n _ -> n + 1) 0 e
-
-(* Functions whose result depends on engine state or evaluation focus:
-   sharing one evaluation across rules could observe a different state
-   than per-rule interpretation would (error routing between rules
-   changes queue contents; the virtual clock ticks concurrently). *)
-let unstable_functions =
-  [ "qs:queue"; "queue"; "qs:slice"; "slice"; "fn:collection"; "collection";
-    "fn:current-dateTime"; "current-dateTime"; "fn:position"; "position";
-    "fn:last"; "last" ]
-
-let stable_expr e =
-  not
-    (List.exists
-       (fun f -> List.mem f unstable_functions)
-       (Ast.called_functions e))
-
-let contains_constructor e =
-  Ast.fold_expr
-    (fun acc e ->
-      acc
-      ||
-      match e with
-      | Ast.Direct_elem _ | Ast.Computed_elem _ | Ast.Computed_attr _
-      | Ast.Computed_text _ ->
-        true
-      | _ -> false)
-    false e
-
-(* Hoisting candidates must be closed (no free variables), pure (no
-   updates), stable, constructor-free (constructed nodes have identity),
-   and big enough to be worth a binding. *)
-let hoist_candidate e =
-  expr_size e >= 3
-  && (not (Ast.contains_update e))
-  && stable_expr e
-  && (not (contains_constructor e))
-  && Analysis.free_variables e = []
-
-(* Walk only the positions that evaluate in the SAME dynamic environment
-   as the whole expression: no focus changes (right of a path, predicate),
-   no variable scopes (FLWOR, quantifier, Bind). A hoisted binding
-   substituted in such a position is guaranteed to denote the same value
-   the inline expression would. *)
-let rec scope_fold f acc e =
-  let acc = f acc e in
-  let go = scope_fold f in
-  match e with
-  | Ast.If (c, t, el) -> go (go (go acc c) t) el
-  | Ast.Binary (_, a, b) | Ast.Range (a, b)
-  | Ast.Computed_elem (a, b) | Ast.Computed_attr (a, b) ->
-    go (go acc a) b
-  | Ast.Sequence es | Ast.Call (_, es) -> List.fold_left go acc es
-  | Ast.Neg a | Ast.Cast (a, _, _) | Ast.Instance_of (a, _)
-  | Ast.Treat_as (a, _) | Ast.Computed_text a ->
-    go acc a
-  | Ast.Path (a, _) -> go acc a  (* the right side runs in a new focus *)
-  | Ast.Filter (p, _) -> go acc p  (* predicates run in a new focus *)
-  | Ast.Direct_elem d ->
-    let acc =
-      List.fold_left
-        (fun acc (_, pieces) ->
-          List.fold_left
-            (fun acc p ->
-              match p with Ast.A_text _ -> acc | Ast.A_expr e -> go acc e)
-            acc pieces)
-        acc d.Ast.dattrs
-    in
-    List.fold_left
-      (fun acc p ->
-        match p with Ast.C_text _ -> acc | Ast.C_expr e -> go acc e)
-      acc d.Ast.dcontent
-  | Ast.Enqueue { payload; props; _ } ->
-    List.fold_left (fun acc (_, e) -> go acc e) (go acc payload) props
-  | Ast.Reset (Some (_, key)) -> go acc key
-  | Ast.Reset None | Ast.Literal _ | Ast.Empty_seq | Ast.Var _
-  | Ast.Context_item | Ast.Root | Ast.Axis_step _ | Ast.Flwor _
-  | Ast.Quantified _ | Ast.Bind _ ->
-    acc
-
-(* Replace every same-environment occurrence of [cand] with [Var name];
-   same descent discipline as {!scope_fold}. *)
-let rec scope_replace cand name e =
-  if e = cand then Ast.Var name
-  else
-    let r = scope_replace cand name in
-    match e with
-    | Ast.If (c, t, el) -> Ast.If (r c, r t, r el)
-    | Ast.Binary (op, a, b) -> Ast.Binary (op, r a, r b)
-    | Ast.Range (a, b) -> Ast.Range (r a, r b)
-    | Ast.Computed_elem (a, b) -> Ast.Computed_elem (r a, r b)
-    | Ast.Computed_attr (a, b) -> Ast.Computed_attr (r a, r b)
-    | Ast.Sequence es -> Ast.Sequence (List.map r es)
-    | Ast.Call (f, es) -> Ast.Call (f, List.map r es)
-    | Ast.Neg a -> Ast.Neg (r a)
-    | Ast.Cast (a, ty, k) -> Ast.Cast (r a, ty, k)
-    | Ast.Instance_of (a, st) -> Ast.Instance_of (r a, st)
-    | Ast.Treat_as (a, st) -> Ast.Treat_as (r a, st)
-    | Ast.Computed_text a -> Ast.Computed_text (r a)
-    | Ast.Path (a, b) -> Ast.Path (r a, b)
-    | Ast.Filter (p, preds) -> Ast.Filter (r p, preds)
-    | Ast.Direct_elem d ->
-      Ast.Direct_elem
-        { d with
-          Ast.dattrs =
-            List.map
-              (fun (n, pieces) ->
-                ( n,
-                  List.map
-                    (function
-                      | Ast.A_text _ as t -> t
-                      | Ast.A_expr e -> Ast.A_expr (r e))
-                    pieces ))
-              d.Ast.dattrs;
-          dcontent =
-            List.map
-              (function
-                | Ast.C_text _ as t -> t
-                | Ast.C_expr e -> Ast.C_expr (r e))
-              d.Ast.dcontent }
-    | Ast.Enqueue { payload; queue; props } ->
-      Ast.Enqueue
-        { payload = r payload;
-          queue;
-          props = List.map (fun (n, e) -> (n, r e)) props }
-    | Ast.Reset (Some (s, key)) -> Ast.Reset (Some (s, r key))
-    | Ast.Reset None | Ast.Literal _ | Ast.Empty_seq | Ast.Var _
-    | Ast.Context_item | Ast.Root | Ast.Axis_step _ | Ast.Flwor _
-    | Ast.Quantified _ | Ast.Bind _ ->
-      e
-
-let binding_prefix = "__plan"
-
-let uses_reserved_vars e =
-  Ast.fold_expr
-    (fun acc e ->
-      acc
-      ||
-      match e with
-      | Ast.Var v -> String.length v >= 6 && String.sub v 0 6 = binding_prefix
-      | _ -> false)
-    false e
-
 (* ---- compilation ---- *)
 
 let compile_rule ~properties ~on_slicing ~target (r : Qdl.rule_def) =
@@ -322,11 +165,11 @@ let compile_rule ~properties ~on_slicing ~target (r : Qdl.rule_def) =
     cr_name = r.Qdl.rname;
     cr_error_queue = r.Qdl.rule_error_queue;
     cr_body = body;
-    cr_original = r.Qdl.body;
-    cr_requirements = Prefilter.rule_requirements body;
+    (* slicing rules see messages of many queues: no pre-filtering *)
+    cr_requirements = (if on_slicing then [] else Prefilter.rule_requirements body);
   }
 
-(* Pass 5: the conflict footprint of one rewritten rule body. *)
+(* Pass 2: the conflict footprint of one rewritten rule body. *)
 let footprint_of body =
   let top = ref false
   and queues = ref []
@@ -391,181 +234,10 @@ let union_conflicts conflicts =
             conflicts;
       }
 
-(* Pass 3: hoist common subexpressions across the rules of one plan.
-   Returns the bindings (dependency order) and each rule's rewritten
-   (guard, then, else). *)
-let hoist_common decomposed =
-  let skip =
-    List.exists
-      (fun (_, guard, then_, else_) ->
-        List.exists
-          (fun e -> match e with Some e -> uses_reserved_vars e | None -> false)
-          [ guard; Some then_; Some else_ ])
-      decomposed
-  in
-  if skip then ([], decomposed)
-  else begin
-    (* candidate -> number of distinct rules it occurs in *)
-    let counts = Hashtbl.create 32 in
-    List.iter
-      (fun (_, guard, then_, else_) ->
-        let occs =
-          List.fold_left
-            (fun acc e ->
-              match e with
-              | None -> acc
-              | Some e -> scope_fold (fun acc e -> e :: acc) acc e)
-            []
-            [ guard; Some then_; Some else_ ]
-        in
-        List.iter
-          (fun e ->
-            Hashtbl.replace counts e (1 + Option.value ~default:0 (Hashtbl.find_opt counts e)))
-          (List.sort_uniq compare (List.filter hoist_candidate occs)))
-      decomposed;
-    let cands =
-      Hashtbl.fold (fun e n acc -> if n >= 2 then e :: acc else acc) counts []
-    in
-    (* dependency order: smaller expressions first (a larger candidate can
-       only reference a smaller one); replacement runs largest-first so
-       nested candidates survive inside the bindings of their hosts *)
-    let cands =
-      List.sort
-        (fun a b ->
-          match compare (expr_size a) (expr_size b) with
-          | 0 -> compare a b
-          | c -> c)
-        cands
-    in
-    let n = List.length cands in
-    let arr = Array.of_list cands in
-    let names = Array.init n (fun i -> Printf.sprintf "%s%d" binding_prefix i) in
-    let bind_exprs = Array.copy arr in
-    let rewritten = ref decomposed in
-    for j = n - 1 downto 0 do
-      let cand = arr.(j) and name = names.(j) in
-      rewritten :=
-        List.map
-          (fun (meta, guard, then_, else_) ->
-            ( meta,
-              Option.map (scope_replace cand name) guard,
-              scope_replace cand name then_,
-              scope_replace cand name else_ ))
-          !rewritten;
-      for i = 0 to n - 1 do
-        if i <> j then bind_exprs.(i) <- scope_replace cand name bind_exprs.(i)
-      done
-    done;
-    (List.map2 (fun name e -> (name, e)) (Array.to_list names) (Array.to_list bind_exprs),
-     !rewritten)
-  end
-
-(* Indices of the bindings an expression references, transitively closed
-   over the bindings' own references; ascending, so evaluation order is a
-   valid dependency order. *)
-let binding_indices bindings exprs =
-  let n = List.length bindings in
-  let name_index =
-    List.mapi (fun i (name, _) -> (name, i)) bindings
-  in
-  let direct e =
-    Ast.fold_expr
-      (fun acc e ->
-        match e with
-        | Ast.Var v -> (
-          match List.assoc_opt v name_index with Some i -> i :: acc | None -> acc)
-        | _ -> acc)
-      [] e
-  in
-  let bind_refs =
-    Array.of_list (List.map (fun (_, e) -> direct e) bindings)
-  in
-  let needed = Array.make (max 1 n) false in
-  let rec mark i =
-    if not needed.(i) then begin
-      needed.(i) <- true;
-      List.iter mark bind_refs.(i)
-    end
-  in
-  List.iter (fun e -> List.iter mark (direct e)) exprs;
-  let out = ref [] in
-  for i = n - 1 downto 0 do
-    if needed.(i) then out := i :: !out
-  done;
-  !out
-
-(* Passes 1-5 for one target's surviving rules. *)
-let build_exec ~on_slicing rules =
-  (* pass 2: guard splitting (opaque when the guard itself updates) *)
-  let decomposed =
-    List.map
-      (fun cr ->
-        match cr.cr_body with
-        | Ast.If (c, t, e) when not (Ast.contains_update c) ->
-          (cr, Some c, t, e)
-        | body -> (cr, None, body, Ast.Empty_seq))
-      rules
-  in
-  (* pass 3: hoisting *)
-  let bindings, decomposed = hoist_common decomposed in
-  (* pass 4: guard sharing (stable guards only; sharing an unstable guard
-     could observe state a per-rule evaluation at this rule's turn would
-     not) *)
-  let guard_ids = Hashtbl.create 8 in
-  let next_id = ref 0 in
-  let fresh () =
-    let id = !next_id in
-    incr next_id;
-    id
-  in
-  let guarded =
-    List.map
-      (fun (cr, guard, then_, else_) ->
-        let g_guard_id =
-          match guard with
-          | Some g when stable_expr g -> (
-            match Hashtbl.find_opt guard_ids g with
-            | Some id -> id
-            | None ->
-              let id = fresh () in
-              Hashtbl.replace guard_ids g id;
-              id)
-          | _ -> fresh ()
-        in
-        let exprs =
-          (match guard with Some g -> [ g ] | None -> []) @ [ then_; else_ ]
-        in
-        {
-          Plan_ir.g_name = cr.cr_name;
-          g_error_queue = cr.cr_error_queue;
-          g_guard = guard;
-          g_guard_id;
-          g_then = then_;
-          g_else = else_;
-          g_bindings = binding_indices bindings exprs;
-          g_fallback = cr.cr_body;
-          g_requirements = (if on_slicing then [] else cr.cr_requirements);
-        })
-      decomposed
-  in
-  { Plan_ir.p_bindings = bindings; p_guarded = guarded; p_n_guards = !next_id }
-
-(* One unguarded entry per rule, in declaration order: per-rule
-   interpretation expressed as a plan. *)
-let per_rule_exec ~on_slicing rules =
-  Plan_ir.of_rules
-    (List.map
-       (fun cr ->
-         ( cr.cr_name,
-           cr.cr_error_queue,
-           cr.cr_body,
-           if on_slicing then [] else cr.cr_requirements ))
-       rules)
-
-let finish_plan ~queues ~merged target plan =
+let finish_plan ~queues ~on_slicing target rules =
   (* pass 1: unsatisfiability pruning against the target queue's schema *)
   let vocabulary =
-    if plan.on_slicing then Prefilter.Open_vocabulary
+    if on_slicing then Prefilter.Open_vocabulary
     else
       match List.find_opt (fun q -> q.Defs.qname = target) queues with
       | Some { Defs.schema = Some schema; _ } -> Prefilter.schema_vocabulary schema
@@ -577,55 +249,32 @@ let finish_plan ~queues ~merged target plan =
         match Prefilter.unsatisfiable vocabulary cr.cr_requirements with
         | None -> Left cr
         | Some reason -> Right (cr.cr_name, reason))
-      plan.rules
-  in
-  let exec =
-    if merged then build_exec ~on_slicing:plan.on_slicing kept
-    else per_rule_exec ~on_slicing:plan.on_slicing kept
+      rules
   in
   let footprints = List.map (fun cr -> footprint_of cr.cr_body) kept in
   let conflicts =
     Array.of_list
-      (List.map2
-         (fun (g : Plan_ir.guarded) fp -> (g.Plan_ir.g_requirements, conflict_of fp))
-         exec.Plan_ir.p_guarded footprints)
+      (List.map2 (fun cr fp -> (cr.cr_requirements, conflict_of fp)) kept footprints)
   in
   {
-    plan with
-    rules = kept;
+    target;
+    on_slicing;
+    rules = Array.of_list kept;
     pruned;
-    exec;
     footprints;
     conflicts;
     conflict_union =
       union_conflicts (Array.to_list (Array.map snd conflicts));
-    admission =
-      Prefilter.index
-        (List.map
-           (fun (g : Plan_ir.guarded) -> g.Plan_ir.g_requirements)
-           exec.Plan_ir.p_guarded);
+    admission = Prefilter.index (List.map (fun cr -> cr.cr_requirements) kept);
     queue_resource = "q:" ^ target;
   }
 
-let empty_plan target on_slicing =
-  {
-    target;
-    on_slicing;
-    rules = [];
-    pruned = [];
-    exec = Plan_ir.of_rules [];
-    footprints = [];
-    conflicts = [||];
-    conflict_union = Conflict_resources { res = []; own_queue = false };
-    admission = Prefilter.index [];
-    queue_resource = "q:" ^ target;
-  }
-
-let compile ?(optimize = true) ?(merged = true) (program : Qdl.program) : t =
+let compile ?(optimize = true) (program : Qdl.program) : t =
   let slicing_names = List.map (fun s -> s.Defs.sname) (Qdl.slicings program) in
   let properties = Qdl.properties program in
   let queues = Qdl.queues program in
-  let plans = Hashtbl.create 16 in
+  (* target -> its compiled rules, newest first *)
+  let by_target = Hashtbl.create 16 in
   List.iter
     (fun (r : Qdl.rule_def) ->
       let target = r.Qdl.target in
@@ -637,23 +286,21 @@ let compile ?(optimize = true) ?(merged = true) (program : Qdl.program) : t =
             cr_name = r.Qdl.rname;
             cr_error_queue = r.Qdl.rule_error_queue;
             cr_body = r.Qdl.body;
-            cr_original = r.Qdl.body;
             cr_requirements = [];
           }
       in
-      let plan =
-        match Hashtbl.find_opt plans target with
-        | Some p -> { p with rules = p.rules @ [ compiled ] }
-        | None -> { (empty_plan target on_slicing) with rules = [ compiled ] }
-      in
-      Hashtbl.replace plans target plan)
+      let earlier = Option.value ~default:[] (Hashtbl.find_opt by_target target) in
+      Hashtbl.replace by_target target (compiled :: earlier))
     (Qdl.rules program);
   (* Plan passes per target. Unoptimized rules carry no pre-filter
      requirements, so pruning keeps them all. *)
-  let merged = optimize && merged in
-  Hashtbl.filter_map_inplace
-    (fun target plan -> Some (finish_plan ~queues ~merged target plan))
-    plans;
+  let plans = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun target rules ->
+      let on_slicing = List.mem target slicing_names in
+      Hashtbl.replace plans target
+        (finish_plan ~queues ~on_slicing target (List.rev rules)))
+    by_target;
   {
     plans;
     program;
@@ -704,39 +351,23 @@ let explain t =
     (fun p ->
       pr "plan for %s%s (%d rule%s%s):\n" p.target
         (if p.on_slicing then " [slicing]" else "")
-        (List.length p.rules)
-        (if List.length p.rules = 1 then "" else "s")
+        (Array.length p.rules)
+        (if Array.length p.rules = 1 then "" else "s")
         (match List.length p.pruned with
          | 0 -> ""
          | n -> Printf.sprintf ", %d pruned" n);
-      List.iter
-        (fun (name, expr) ->
-          pr "  binding $%s := %s\n" name (Demaq_xquery.Pp.to_string expr))
-        p.exec.Demaq_xquery.Plan.p_bindings;
-      List.iteri
-        (fun i (g : Demaq_xquery.Plan.guarded) ->
-          let fp = List.nth p.footprints i in
-          pr "  rule %s%s%s:\n" g.Demaq_xquery.Plan.g_name
-            (match g.Demaq_xquery.Plan.g_error_queue with
+      List.iter2
+        (fun cr fp ->
+          pr "  rule %s%s%s:\n" cr.cr_name
+            (match cr.cr_error_queue with
              | Some q -> " (errors -> " ^ q ^ ")"
              | None -> "")
-            (match g.Demaq_xquery.Plan.g_requirements with
+            (match cr.cr_requirements with
              | [] -> ""
              | names -> " [requires <" ^ String.concat ">, <" names ^ ">]");
-          (match g.Demaq_xquery.Plan.g_guard with
-           | Some guard ->
-             pr "    guard[%d]: %s\n" g.Demaq_xquery.Plan.g_guard_id
-               (Demaq_xquery.Pp.to_string guard);
-             pr "    then: %s\n"
-               (Demaq_xquery.Pp.to_string g.Demaq_xquery.Plan.g_then);
-             if g.Demaq_xquery.Plan.g_else <> Demaq_xquery.Ast.Empty_seq then
-               pr "    else: %s\n"
-                 (Demaq_xquery.Pp.to_string g.Demaq_xquery.Plan.g_else)
-           | None ->
-             pr "    body: %s\n"
-               (Demaq_xquery.Pp.to_string g.Demaq_xquery.Plan.g_then));
+          pr "    body: %s\n" (Demaq_xquery.Pp.to_string cr.cr_body);
           pr "    footprint: %s\n" (footprint_to_string fp))
-        p.exec.Demaq_xquery.Plan.p_guarded;
+        (Array.to_list p.rules) p.footprints;
       List.iter
         (fun (name, reason) -> pr "  pruned rule %s: %s\n" name reason)
         p.pruned;

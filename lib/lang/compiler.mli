@@ -16,29 +16,21 @@
     + {e unsatisfiability pruning} — rules whose pre-filter requirements
       fall outside the target queue's closed schema vocabulary are
       statically dead and dropped (with the reason kept for explain);
-    + {e guard splitting} — conditional rule bodies (§3.3) decompose into
-      guard/then/else so the fused plan preserves per-rule error
-      attribution (§3.6);
-    + {e common-subexpression hoisting} — pure, stable expressions shared
-      by several rules become plan-level bindings, evaluated once per
-      message;
-    + {e guard sharing} — structurally identical stable guards share one
-      evaluation;
     + {e conflict footprints} — the queues/slices each rule can touch
       (⊤ for dynamic queue names), lowered to dispatcher resource strings
       and cached on the plan as the dispatch template.
 
-    The engine executes the guarded {!Demaq_xquery.Plan.t}; it is the
-    only execution artifact. *)
+    The engine interprets a plan's surviving {!plan.rules} one at a time,
+    in declaration order. *)
 
 type compiled_rule = {
   cr_name : string;
   cr_error_queue : string option;  (** rule-level error queue (§3.6) *)
   cr_body : Demaq_xquery.Ast.expr;  (** rewritten *)
-  cr_original : Demaq_xquery.Ast.expr;  (** as written *)
   cr_requirements : string list;
       (** element names the triggering message must contain for the rule
-          to possibly fire; empty = always evaluate *)
+          to possibly fire; empty = always evaluate (and always empty on a
+          slicing) *)
 }
 
 type footprint = {
@@ -62,32 +54,26 @@ type conflict =
 type plan = {
   target : string;  (** queue or slicing name *)
   on_slicing : bool;
-  rules : compiled_rule list;  (** surviving rules, declaration order *)
+  rules : compiled_rule array;
+      (** surviving rules, declaration order: the execution artifact *)
   pruned : (string * string) list;
       (** statically dead rules: (name, reason) *)
-  exec : Demaq_xquery.Plan.t;
-      (** the execution plan: guarded, or one entry per rule without
-          [merged] *)
-  footprints : footprint list;  (** aligned with [exec]'s guarded rules *)
+  footprints : footprint list;  (** aligned with [rules] *)
   conflicts : (string list * conflict) array;
-      (** per guarded rule: (pre-filter requirements, conflict resources)
-          — the cached dispatch template *)
+      (** per rule: (pre-filter requirements, conflict resources) — the
+          cached dispatch template *)
   conflict_union : conflict;  (** union over all rules *)
   admission : Prefilter.index;
-      (** the guarded rules' pre-filter requirements, indexed so one pass
-          over a payload's header decides them all *)
+      (** the rules' pre-filter requirements, indexed so one pass over a
+          payload's header decides them all *)
   queue_resource : string;  (** ["q:" ^ target], interned once *)
 }
 
 type t
 
-val compile : ?optimize:bool -> ?merged:bool -> Qdl.program -> t
-(** [merged:false] skips guard splitting, hoisting and guard sharing: each
-    rule becomes one unguarded plan entry, evaluated in declaration
-    order — per-rule interpretation, the reference semantics the guarded
-    plan is tested against (benchmarks B2/B16). [optimize:false] also
-    keeps rule bodies verbatim (benchmark B8): no rewrites, no pruning,
-    and the plan is per-rule as with [merged:false]. *)
+val compile : ?optimize:bool -> Qdl.program -> t
+(** [optimize:false] keeps rule bodies verbatim (benchmark B8): no
+    rewrites, no pre-filter requirements and no pruning. *)
 
 val plan_for : t -> string -> plan option
 val plans : t -> plan list
@@ -102,9 +88,9 @@ val all_queue_resources : t -> string list
     expands to under footprint dispatch. *)
 
 val explain : t -> string
-(** Human-readable plan dump: hoisted bindings, per-rule guards and
-    branches, error queues, pre-filter requirements, conflict footprints,
-    and pruned rules with their unsatisfiability reason. *)
+(** Human-readable plan dump: per-rule bodies, error queues, pre-filter
+    requirements, conflict footprints, and pruned rules with their
+    unsatisfiability reason. *)
 
 val footprint_to_string : footprint -> string
 val conflict_to_string : conflict -> string

@@ -15,7 +15,9 @@ let escape_text = escape false
 let escape_attr = escape true
 
 (* Serialization-time namespace environment: maps URIs to prefixes. New
-   URIs get fresh [nsN] prefixes declared on the element introducing them. *)
+   URIs get fresh [nsN] prefixes declared on the element introducing them.
+   A declaration is in scope only within that element's subtree, so the
+   writers restore [bindings] once the element is closed. *)
 type ns_env = { mutable bindings : (string * string) list; mutable next : int }
 
 let prefix_for env buf uri =
@@ -37,6 +39,21 @@ let write_name env name =
   let p = prefix_for env decls (Name.uri name) in
   (p ^ Name.local name, Buffer.contents decls)
 
+(* Write [<tag xmlns:... attrs] (unclosed) and return the tag. *)
+let start_tag env buf (e : Tree.element) =
+  let tag, decls = write_name env e.name in
+  Buffer.add_char buf '<';
+  Buffer.add_string buf tag;
+  Buffer.add_string buf decls;
+  List.iter
+    (fun a ->
+      let aname, adecls = write_name env a.Tree.attr_name in
+      Buffer.add_string buf adecls;
+      Buffer.add_string buf
+        (Printf.sprintf " %s=\"%s\"" aname (escape_attr a.Tree.attr_value)))
+    e.attrs;
+  tag
+
 let rec write env buf t =
   match t with
   | Tree.Text s -> Buffer.add_string buf (escape_text s)
@@ -47,23 +64,15 @@ let rec write env buf t =
   | Tree.Pi { target; data } ->
     Buffer.add_string buf (Printf.sprintf "<?%s %s?>" target data)
   | Tree.Element e ->
-    let tag, decls = write_name env e.name in
-    Buffer.add_char buf '<';
-    Buffer.add_string buf tag;
-    Buffer.add_string buf decls;
-    List.iter
-      (fun a ->
-        let aname, adecls = write_name env a.Tree.attr_name in
-        Buffer.add_string buf adecls;
-        Buffer.add_string buf
-          (Printf.sprintf " %s=\"%s\"" aname (escape_attr a.Tree.attr_value)))
-      e.attrs;
+    let outer = env.bindings in
+    let tag = start_tag env buf e in
     if e.children = [] then Buffer.add_string buf "/>"
     else begin
       Buffer.add_char buf '>';
       List.iter (write env buf) e.children;
       Buffer.add_string buf (Printf.sprintf "</%s>" tag)
-    end
+    end;
+    env.bindings <- outer
 
 let to_string ?(decl = false) t =
   let buf = Buffer.create 256 in
@@ -82,21 +91,13 @@ let to_string_pretty ?(indent = 2) t =
     pad depth;
     (match t with
      | Tree.Element e when e.children <> [] && not (only_text e.children) ->
-       let tag, decls = write_name env e.name in
-       Buffer.add_char buf '<';
-       Buffer.add_string buf tag;
-       Buffer.add_string buf decls;
-       List.iter
-         (fun a ->
-           let aname, adecls = write_name env a.Tree.attr_name in
-           Buffer.add_string buf adecls;
-           Buffer.add_string buf
-             (Printf.sprintf " %s=\"%s\"" aname (escape_attr a.Tree.attr_value)))
-         e.attrs;
+       let outer = env.bindings in
+       let tag = start_tag env buf e in
        Buffer.add_string buf ">\n";
        List.iter (go (depth + 1)) e.children;
        pad depth;
-       Buffer.add_string buf (Printf.sprintf "</%s>" tag)
+       Buffer.add_string buf (Printf.sprintf "</%s>" tag);
+       env.bindings <- outer
      | t -> write env buf t);
     Buffer.add_char buf '\n'
   in

@@ -2,7 +2,8 @@
 
     Produces well-formed XML with correct escaping. Names in non-empty
     namespaces are emitted with generated prefixes ([ns1], [ns2], ...) and
-    matching [xmlns:*] declarations on the element that first uses them. *)
+    matching [xmlns:*] declarations on each element that uses them where
+    no ancestor has declared them. *)
 
 val escape_text : string -> string
 (** Escape [&], [<] and [>] for character data. *)

@@ -77,11 +77,6 @@ type expr =
           error otherwise *)
   | Enqueue of { payload : expr; queue : string; props : (string * expr) list }
   | Reset of (string * expr) option  (** slicing name and key, if explicit *)
-  | Bind of (string * expr) list * expr
-      (** compiler-introduced plan-level let: sequential bindings (each may
-          reference the previous), no tuple stream and no focus change —
-          unlike a FLWOR [let] clause. Never produced by the parser; the
-          rule compiler hoists common subexpressions into these. *)
 
 and clause =
   | For of (string * string option * expr) list
@@ -154,9 +149,6 @@ let rec fold_expr f acc e =
     List.fold_left (fun acc (_, e) -> fold_expr f acc e) (fold_expr f acc payload) props
   | Reset None -> acc
   | Reset (Some (_, key)) -> fold_expr f acc key
-  | Bind (binds, body) ->
-    let acc = List.fold_left (fun acc (_, e) -> fold_expr f acc e) acc binds in
-    fold_expr f acc body
 
 (* Bottom-up rewriting. *)
 let rec map_expr f e =
@@ -211,8 +203,6 @@ let rec map_expr f e =
           props = List.map (fun (n, e) -> (n, m e)) props }
     | Reset None -> Reset None
     | Reset (Some (s, key)) -> Reset (Some (s, m key))
-    | Bind (binds, body) ->
-      Bind (List.map (fun (v, e) -> (v, m e)) binds, m body)
   in
   f e'
 

@@ -256,11 +256,6 @@ let rec eval env expr : Value.t =
     in
     emit env (Update.Reset { slicing = Some slicing; key = Some key });
     []
-  | Bind (binds, body) ->
-    let env =
-      List.fold_left (fun env (v, e) -> bind env v (eval env e)) env binds
-    in
-    eval env body
 
 and eval_path env a b =
   match eval env a, b with

@@ -130,11 +130,6 @@ let rec pp fmt e =
     List.iter (fun (n, e) -> Format.fprintf fmt " with %s value %a" n pp e) props
   | Reset None -> Format.pp_print_string fmt "do reset"
   | Reset (Some (s, k)) -> Format.fprintf fmt "do reset slicing %s key %a" s pp k
-  | Bind (binds, body) ->
-    (* prints as FLWOR surface syntax; Bind is compiler-introduced and
-       semantically a chain of sequential lets *)
-    List.iter (fun (v, e) -> Format.fprintf fmt "let $%s := %a " v pp e) binds;
-    Format.fprintf fmt "return %a" pp body
 
 and pp_path_base fmt = function
   | Root -> () (* a leading "/" is printed by the Path case *)

@@ -476,11 +476,12 @@ let test_recovery_echo_timer () =
 
 (* ---- config toggles ---- *)
 
-let test_merged_plans_equivalent () =
-  let run merged =
-    let cfg = { S.default_config with S.merged_plans = merged } in
+let test_rules_sharing_a_queue_match_reference () =
+  (* two rules on one queue produce the same output, in the same order,
+     under the compiled plans and under the reference run *)
+  let run config =
     let srv =
-      S.deploy ~config:cfg
+      S.deploy ~config
         {|create queue a kind basic mode persistent
           create queue b kind basic mode persistent
           create rule r1 for a if (//m) then do enqueue <x1/> into b
@@ -490,7 +491,9 @@ let test_merged_plans_equivalent () =
     ignore (S.run srv);
     bodies srv "b"
   in
-  check bool_ "merged = per-rule output" true (run true = run false)
+  let compiled = run S.default_config in
+  check int_ "both rules fired" 2 (List.length compiled);
+  check bool_ "compiled = reference output" true (compiled = run Test_plan.reference_config)
 
 let test_scan_vs_index_equivalent () =
   let run use_index =
@@ -564,7 +567,7 @@ let suite =
     ("gateway unresolvable endpoint", `Quick, test_gateway_unresolvable);
     ("recovery resumes processing", `Quick, test_recovery_resumes_processing);
     ("recovery re-registers echo timers", `Quick, test_recovery_echo_timer);
-    ("merged plans equivalent", `Quick, test_merged_plans_equivalent);
+    ("rules sharing a queue match reference run", `Quick, test_rules_sharing_a_queue_match_reference);
     ("index vs scan equivalent", `Quick, test_scan_vs_index_equivalent);
     ("automatic gc", `Quick, test_gc_every);
     ("deployment errors", `Quick, test_deployment_errors);
@@ -637,17 +640,17 @@ let suite =
 
 (* ---- second batch: interplay of features ---- *)
 
-let test_merged_plans_with_slicing_program () =
-  (* the full slicing program behaves identically under merged plans *)
-  let run merged =
-    let cfg = { S.default_config with S.merged_plans = merged } in
-    let srv = S.deploy ~config:cfg slicing_program in
+let test_slicing_program_matches_reference () =
+  (* the full slicing program behaves identically under the compiled
+     plans and under the reference run: no rewrites, no pre-filter *)
+  let run config =
+    let srv = S.deploy ~config slicing_program in
     ignore (inject_ok srv "q1" "<left><k>m</k></left>");
     ignore (inject_ok srv "q2" "<right><k>m</k></right>");
     ignore (S.run srv);
     (bodies srv "joined", S.gc srv)
   in
-  check bool_ "same results" true (run true = run false)
+  check bool_ "same results" true (run S.default_config = run Test_plan.reference_config)
 
 let test_error_message_schema () =
   (* the error schema has the Fig. 10 shape: kind marker, description,
@@ -728,7 +731,7 @@ let test_inherited_props_through_echo () =
 let suite =
   suite
   @ [
-      ("merged plans with slicing program", `Quick, test_merged_plans_with_slicing_program);
+      ("merged plans with slicing program", `Quick, test_slicing_program_matches_reference);
       ("error message schema (Fig. 10 shape)", `Quick, test_error_message_schema);
       ("evolution preserves timers", `Quick, test_evolution_preserves_timers);
       ("pending message counter", `Quick, test_pending_messages_counter);

@@ -5,9 +5,11 @@
    the two runs must end with the same serialized contents in every
    queue and the same processed/error counts.
 
-   The pair compared here is [merged_plans] true (the guarded plan) and
-   false (one unguarded plan entry per rule, the reference semantics),
-   both at [workers = 1].
+   The pair compared here is the default configuration and the reference
+   run: [optimize = false] (rule bodies as written, no pruning) and
+   [use_prefilter = false], so every compiler rewrite, the pruning and
+   the pre-filter are checked against plain per-rule interpretation.
+   Both run at [workers = 1].
 
    A second pair compares rule admission: decided on a binary payload's
    header bytes, against deciding it on the document's element-name set,
@@ -27,7 +29,7 @@ let bool_ = Alcotest.bool
 let seeds = [ 1; 2; 3 ]
 let messages_per_seed = 12
 
-let config ~merged = { S.default_config with S.merged_plans = merged; S.workers = 1 }
+let default_config = { S.default_config with S.workers = 1 }
 
 let read_example name =
   (* test runs execute in _build/default/test; [dune exec] from the root *)
@@ -71,14 +73,14 @@ let observe srv queues =
 let agree ~what run =
   List.iter
     (fun seed ->
-      let merged = run ~merged:true seed in
-      let per_rule = run ~merged:false seed in
-      check bool_ (Printf.sprintf "%s, seed %d" what seed) true (merged = per_rule))
+      let compiled = run ~config:default_config seed in
+      let reference = run ~config:Test_plan.reference_config seed in
+      check bool_ (Printf.sprintf "%s, seed %d" what seed) true (compiled = reference))
     seeds
 
 (* ---- the loadgen example programs, fed schema-generated messages ---- *)
 
-let example_run ~file ~queue ~root ~merged seed =
+let example_run ~file ~queue ~root ~config seed =
   let src = read_example file in
   let program = Qdl.parse_program src in
   let schema =
@@ -88,7 +90,7 @@ let example_run ~file ~queue ~root ~merged seed =
     | Some { Defs.schema = Some schema; _ } -> schema
     | _ -> Alcotest.failf "%s: queue %s has no schema" file queue
   in
-  let srv = S.deploy ~config:(config ~merged) src in
+  let srv = S.deploy ~config src in
   let rng = Random.State.make [| seed |] in
   for _ = 1 to messages_per_seed do
     match Schema.example ~vary:(Random.State.int rng 10_000) schema root with
@@ -116,8 +118,8 @@ let procurement_queues =
 (* Offer requests (some with the restricted item), invoices, payments for
    some of them, and customer orders; seed 3 also disconnects the
    customer endpoint so Fig. 10's compensation path runs. *)
-let procurement_run ~merged seed =
-  let w = Test_procurement.make_world ~config:(config ~merged) () in
+let procurement_run ~config seed =
+  let w = Test_procurement.make_world ~config () in
   if seed = 3 then Net.set_connected w.Test_procurement.net "customer" false;
   let srv = w.Test_procurement.srv in
   let rng = Random.State.make [| seed |] in
@@ -167,7 +169,6 @@ let test_procurement () = agree ~what:"procurement" procurement_run
 module Prefilter = Demaq.Lang.Prefilter
 module Compiler = Demaq.Lang.Compiler
 module Executor = Demaq.Engine.Executor
-module Plan_ir = Demaq.Xquery.Plan
 module Bxml = Demaq.Xml.Bxml
 module Name = Demaq.Xml.Name
 
@@ -184,11 +185,9 @@ let shipped_programs () =
 
 (* Seeded documents over the programs' requirement names plus noise.
    Attributes draw from the same vocabulary, so a required name often
-   occurs only as an attribute. Every other document is namespaced: its
-   root is in a namespace, and so is one inner name in five. (The root
-   carries the namespace because the serializer declares a prefix only
-   on the first element that uses it, and the legacy text payload must
-   parse back.) *)
+   occurs only as an attribute. In every other document one name in five
+   is in a namespace, so the legacy text payload also exercises prefixes
+   declared in sibling subtrees. *)
 let random_doc rng vocab =
   let pick () = vocab.(Random.State.int rng (Array.length vocab)) in
   let namespaced = Random.State.bool rng in
@@ -209,32 +208,30 @@ let random_doc rng vocab =
     in
     Tree.elem_ns ~attrs elem_name children
   in
-  tree (if namespaced then Name.make ~uri:"urn:demaq:test" (pick ()) else name ()) 3
+  tree (name ()) 3
 
-let guarded_plans compiled =
-  List.filter
-    (fun (p : Compiler.plan) -> p.Compiler.exec.Plan_ir.p_guarded <> [])
-    (Compiler.plans compiled)
+let plans_with_rules compiled =
+  List.filter (fun (p : Compiler.plan) -> p.Compiler.rules <> [||]) (Compiler.plans compiled)
 
 let requirement_names compiled =
   List.sort_uniq compare
     (List.concat_map
        (fun (p : Compiler.plan) ->
          List.concat_map
-           (fun (g : Plan_ir.guarded) -> g.Plan_ir.g_requirements)
-           p.Compiler.exec.Plan_ir.p_guarded)
+           (fun (cr : Compiler.compiled_rule) -> cr.Compiler.cr_requirements)
+           (Array.to_list p.Compiler.rules))
        (Compiler.plans compiled))
 
 (* Per rule of [plan]: the verdict on the binary payload's header, on the
    legacy text payload, and the reference [element_names] + [may_match]. *)
 let verdicts (plan : Compiler.plan) tree =
   let ix = plan.Compiler.admission in
-  let rules = plan.Compiler.exec.Plan_ir.p_guarded in
+  let rules = Array.to_list plan.Compiler.rules in
   let names = Prefilter.element_names tree in
   let reference =
     List.map
-      (fun (g : Plan_ir.guarded) ->
-        Prefilter.may_match ~requirements:g.Plan_ir.g_requirements ~names)
+      (fun (cr : Compiler.compiled_rule) ->
+        Prefilter.may_match ~requirements:cr.Compiler.cr_requirements ~names)
       rules
   in
   let of_present p = List.mapi (fun i _ -> Prefilter.admits ix p i) rules in
@@ -260,7 +257,7 @@ let test_admission_equivalence () =
       let program = Qdl.parse_program src in
       let compiled = Compiler.compile program in
       let reqs = requirement_names compiled in
-      check bool_ (what ^ " has guarded rules") true (reqs <> []);
+      check bool_ (what ^ " has pre-filtered rules") true (reqs <> []);
       let vocab = Array.of_list (reqs @ [ "noise"; "zz" ]) in
       let rng = Random.State.make [| Hashtbl.hash what |] in
       (* one document per required name, where it is only an attribute *)
@@ -316,7 +313,7 @@ let test_admission_equivalence () =
                 check bool_ (label "no decode") false (Message.body_forced on_bytes)
               end)
             docs)
-        (guarded_plans compiled);
+        (plans_with_rules compiled);
       (* the attribute-only documents must be rejected by a rule that
          requires the name, or the attribute case tests nothing *)
       check bool_ (what ^ ": an attribute never satisfies a requirement") true

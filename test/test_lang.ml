@@ -281,7 +281,7 @@ let test_analysis_warning_no_update () =
 let compile src = Compiler.compile (parse src)
 
 let body_of plan rule =
-  let r = List.find (fun r -> r.Compiler.cr_name = rule) plan.Compiler.rules in
+  let r = Option.get (Array.find_opt (fun r -> r.Compiler.cr_name = rule) plan.Compiler.rules) in
   Pp.to_string r.Compiler.cr_body
 
 let test_compiler_groups_rules () =
@@ -294,7 +294,7 @@ let test_compiler_groups_rules () =
         create rule r3 for b if (//x) then do enqueue <v/> into a|}
   in
   let pa = Option.get (Compiler.plan_for c "a") in
-  check int_ "two rules on a" 2 (List.length pa.Compiler.rules);
+  check int_ "two rules on a" 2 (Array.length pa.Compiler.rules);
   check bool_ "no plan for ghost" true (Compiler.plan_for c "ghost" = None)
 
 let test_compiler_queue_default () =
@@ -357,7 +357,7 @@ let test_compiler_constant_folding () =
           if (1 + 1 = 2) then do enqueue <y/> into a|}
   in
   let plan = Option.get (Compiler.plan_for c "a") in
-  match (List.hd plan.Compiler.rules).Compiler.cr_body with
+  match plan.Compiler.rules.(0).Compiler.cr_body with
   | Ast.Enqueue _ -> ()  (* the whole conditional folded away *)
   | other -> Alcotest.failf "expected folded body, got %s" (Pp.to_string other)
 
@@ -369,7 +369,7 @@ let test_compiler_optimize_off () =
            create rule r for a if (1 + 1 = 2) then do enqueue <y/> into a|})
   in
   let plan = Option.get (Compiler.plan_for c "a") in
-  match (List.hd plan.Compiler.rules).Compiler.cr_body with
+  match plan.Compiler.rules.(0).Compiler.cr_body with
   | Ast.If _ -> ()
   | other -> Alcotest.failf "expected unoptimized body, got %s" (Pp.to_string other)
 

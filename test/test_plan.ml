@@ -1,9 +1,7 @@
-(* Tests for the compile-on-deploy rule plans: guarded merged plans,
-   common-subexpression hoisting, static unsatisfiability pruning,
-   conflict footprints and footprint-driven dispatch. *)
+(* Tests for the compile-on-deploy rule plans: static unsatisfiability
+   pruning, conflict footprints, footprint-driven dispatch, and the
+   compiled plans against the unoptimized reference run. *)
 
-module Ast = Demaq.Xquery.Ast
-module Plan_ir = Demaq.Xquery.Plan
 module Qdl = Demaq.Lang.Qdl
 module Analysis = Demaq.Lang.Analysis
 module Compiler = Demaq.Lang.Compiler
@@ -21,51 +19,6 @@ let contains s sub =
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
-(* ---- guard sharing and common-subexpression hoisting ---- *)
-
-let test_guard_sharing_and_cse () =
-  let c =
-    compile
-      {|create queue a kind basic mode persistent
-        create queue b kind basic mode persistent
-        create rule r1 for a if (//x)
-          then do enqueue <y1>{count(//p) + count(//q) + count(//r)}</y1> into b
-        create rule r2 for a if (//x)
-          then do enqueue <y2>{count(//p) + count(//q) + count(//r)}</y2> into b
-        create rule r3 for a if (//z) then do enqueue <y3/> into b|}
-  in
-  let plan = Option.get (Compiler.plan_for c "a") in
-  let exec = plan.Compiler.exec in
-  (match Plan_ir.rules exec with
-   | [ g1; g2; g3 ] ->
-     check bool_ "r1 and r2 share a guard id" true
-       (g1.Plan_ir.g_guard_id = g2.Plan_ir.g_guard_id);
-     check bool_ "r3 has its own guard id" true
-       (g3.Plan_ir.g_guard_id <> g1.Plan_ir.g_guard_id);
-     check bool_ "r1 uses a hoisted binding" true (g1.Plan_ir.g_bindings <> []);
-     (* r3 shares only the hoisted //-root, not the count sum *)
-     check bool_ "r1 needs more bindings than r3" true
-       (List.length g1.Plan_ir.g_bindings > List.length g3.Plan_ir.g_bindings)
-   | l -> Alcotest.failf "expected three guarded rules, got %d" (List.length l));
-  check int_ "two distinct guard evaluations" 2 exec.Plan_ir.p_n_guards;
-  check bool_ "shared count-sum hoisted into a plan binding" true
-    (Plan_ir.bindings exec <> []);
-  check bool_ "explain shows the binding" true
-    (contains (Compiler.explain c) "binding $__plan")
-
-let test_unstable_guard_not_shared () =
-  (* qs:queue() reads the store: identical text, but evaluating it once
-     for two rules is unsound, so each keeps its own guard id. *)
-  let c =
-    compile
-      {|create queue a kind basic mode persistent
-        create queue b kind basic mode persistent
-        create rule r1 for a if (qs:queue()[//x]) then do enqueue <y1/> into b
-        create rule r2 for a if (qs:queue()[//x]) then do enqueue <y2/> into b|}
-  in
-  let plan = Option.get (Compiler.plan_for c "a") in
-  check int_ "no sharing of unstable guards" 2 plan.Compiler.exec.Plan_ir.p_n_guards
-
 (* ---- static unsatisfiability pruning ---- *)
 
 let pruning_program =
@@ -78,15 +31,14 @@ let pruning_program =
 let test_pruning () =
   let c = compile pruning_program in
   let plan = Option.get (Compiler.plan_for c "a") in
-  check int_ "one surviving rule" 1 (List.length plan.Compiler.rules);
-  check bool_ "live survived" true
-    ((List.hd plan.Compiler.rules).Compiler.cr_name = "live");
+  check int_ "one surviving rule" 1 (Array.length plan.Compiler.rules);
+  check bool_ "live survived" true (plan.Compiler.rules.(0).Compiler.cr_name = "live");
   (match plan.Compiler.pruned with
    | [ (name, reason) ] ->
      check bool_ "dead pruned" true (name = "dead");
      check bool_ "reason names the element" true (contains reason "ghost")
    | l -> Alcotest.failf "expected one pruned rule, got %d" (List.length l));
-  check int_ "exec plan dropped it too" 1 (List.length (Plan_ir.rules plan.Compiler.exec));
+  check int_ "conflict template dropped it too" 1 (Array.length plan.Compiler.conflicts);
   check bool_ "explain reports the pruning" true
     (contains (Compiler.explain c) "pruned rule dead")
 
@@ -110,7 +62,7 @@ let test_no_pruning_under_open_vocabulary () =
   in
   let plan = Option.get (Compiler.plan_for c "a") in
   check int_ "nothing pruned" 0 (List.length plan.Compiler.pruned);
-  check int_ "rule kept" 1 (List.length plan.Compiler.rules)
+  check int_ "rule kept" 1 (Array.length plan.Compiler.rules)
 
 let test_analysis_warns_on_dead_rule () =
   let r = Analysis.analyze (Qdl.parse_program pruning_program) in
@@ -162,15 +114,18 @@ let test_footprints () =
   check bool_ "every queue becomes a resource" true
     (List.sort compare (Compiler.all_queue_resources c) = [ "q:a"; "q:b"; "q:c" ])
 
-(* ---- merged guarded plan == per-rule interpretation (qcheck) ----
+(* ---- compiled plans == the reference run (qcheck) ----
 
    Programs are drawn from pools of conditions and bodies chosen to
-   exercise every compiler pass: shared guards, hoistable common
-   subexpressions, pre-filterable requirements, guards and bodies that
-   raise at runtime (fallback re-evaluation, §3.6 attribution), else
+   exercise every compiler rewrite and the pre-filter: constant-foldable
+   and pre-filterable conditions, conditions that no message satisfies,
+   guards and bodies that raise at runtime (§3.6 attribution), else
    branches and rule-level error queues. The same message sequence runs
-   through two engines differing only in [merged_plans]; every queue's
-   serialized contents and the error/evaluation counters must agree. *)
+   through the default engine and through the reference run (no compiler
+   rewrites, no pre-filter), both on one worker; every queue's serialized
+   contents and the processed/error/created counters must agree. The
+   rule-evaluation count is not compared: the reference evaluates the
+   rules the pre-filter skips, so that count differs by design. *)
 
 let conditions =
   [|
@@ -180,7 +135,7 @@ let conditions =
     "count(//a) > 0";
     "//nope";
     "1 = 1";
-    "1 idiv 0 = 1" (* guard raises: exercises memoized-failure fallback *);
+    "1 idiv 0 = 1" (* the guard raises *);
   |]
 
 let rule_then i body =
@@ -191,7 +146,7 @@ let rule_then i body =
   | 3 ->
     Printf.sprintf "(do enqueue <r%d/> into o1, do enqueue <r%d/> into o2)" i i
   | _ ->
-    (* shared across rules: the hoisting pass must not change results *)
+    (* the same subexpression in several rules *)
     Printf.sprintf "do enqueue <r%d>{count(//a) + count(//b) + count(//c)}</r%d> into o1"
       i i
 
@@ -220,8 +175,15 @@ create queue errs kind basic mode persistent
     rules;
   Buffer.contents buf
 
-let observe ~merged program msgs =
-  let config = { S.default_config with S.merged_plans = merged; S.workers = 1 } in
+let default_config = { S.default_config with S.workers = 1 }
+
+(* The reference run the compiled plans are checked against, here and in
+   the equivalence and engine suites: rule bodies as written and every
+   rule evaluated, serially. *)
+let reference_config =
+  { S.default_config with S.optimize = false; use_prefilter = false; workers = 1 }
+
+let observe config program msgs =
   let srv = S.deploy ~config program in
   List.iter
     (fun p ->
@@ -235,7 +197,7 @@ let observe ~merged program msgs =
   in
   let st = S.stats srv in
   ( List.map bodies [ "q"; "o1"; "o2"; "errs" ],
-    (st.S.processed, st.S.rule_evaluations, st.S.errors_raised, st.S.messages_created) )
+    (st.S.processed, st.S.errors_raised, st.S.messages_created) )
 
 let gen_case =
   QCheck.Gen.(
@@ -251,12 +213,58 @@ let print_case (rules, msgs) =
     (String.concat ", "
        (List.map (fun p -> payloads.(p mod Array.length payloads)) msgs))
 
-let prop_merged_equivalent =
+let prop_plans_match_reference =
   QCheck.Test.make ~name:"guarded plan == per-rule interpretation" ~count:40
     (QCheck.make gen_case ~print:print_case)
     (fun (rules, msgs) ->
       let program = program_of rules in
-      observe ~merged:true program msgs = observe ~merged:false program msgs)
+      observe default_config program msgs = observe reference_config program msgs)
+
+(* ---- guarded rules allocate per matching message, not per node ----
+
+   Several rules of one queue guarded by [if (//name)], as in the
+   low-match restart workload: each guard must take the one-walk [//name]
+   evaluation. A plan that binds [/descendant-or-self::node()] once for
+   all its rules instead materializes every node of every matching
+   message (about 5,100 minor words per message here, against about
+   1,200). The bound covers the whole transaction: admission, evaluation,
+   the enqueue and the commit. [Gc.minor_words] counts repeat exactly for
+   the same code on one domain, so the bound is host-independent. *)
+
+let lowmatch_program =
+  "create queue in kind basic mode persistent\ncreate queue out kind basic mode persistent\n"
+  ^ String.concat "\n"
+      (List.init 4 (fun i ->
+           let elem = if i = 2 then "recall" else Printf.sprintf "audit%d" i in
+           Printf.sprintf "create rule r%d for in if (//%s) then do enqueue <hit n=\"%d\"/> into out"
+             i elem i))
+
+let lowmatch_doc =
+  "<order><recall/><orderID>o-1</orderID><customer><name>c</name><tier>gold</tier></customer><items>"
+  ^ String.concat ""
+      (List.init 12 (fun i ->
+           Printf.sprintf "<item sku=\"S%d\" qty=\"1\"><desc>glue</desc><price>%d.95</price></item>"
+             i i))
+  ^ "</items><shipTo><street>1 Loop</street><city>Walldorf</city></shipTo></order>"
+
+let test_guarded_rules_allocation () =
+  let srv = S.deploy ~config:{ S.default_config with S.workers = 1 } lowmatch_program in
+  let n = 200 in
+  let inject () =
+    for _ = 1 to n do
+      ignore (S.inject srv ~queue:"in" (Demaq.xml lowmatch_doc))
+    done
+  in
+  (* a first round warms the caches and grows the tables *)
+  inject ();
+  ignore (S.run srv);
+  inject ();
+  let before = Gc.minor_words () in
+  ignore (S.run srv);
+  let per_msg = (Gc.minor_words () -. before) /. float_of_int n in
+  check int_ "one hit per message" (2 * n) (List.length (S.queue_contents srv "out"));
+  if per_msg > 2500. then
+    Alcotest.failf "a matching message allocates %.0f minor words (bound 2500)" per_msg
 
 (* ---- footprint-driven dispatch: pinned end-to-end regression ---- *)
 
@@ -273,7 +281,6 @@ let run_fanout ~footprint ~workers =
       S.default_config with
       S.footprint_dispatch = footprint;
       S.workers = workers;
-      S.merged_plans = true;
     }
   in
   let srv = S.deploy ~config fanout_program in
@@ -300,13 +307,12 @@ let test_footprint_dispatch_end_to_end () =
 
 let suite =
   [
-    ("guard sharing and CSE hoisting", `Quick, test_guard_sharing_and_cse);
-    ("unstable guards are not shared", `Quick, test_unstable_guard_not_shared);
     ("unsatisfiable rules pruned", `Quick, test_pruning);
     ("pruned rule never runs", `Quick, test_pruned_rule_never_runs);
     ("open vocabulary disables pruning", `Quick, test_no_pruning_under_open_vocabulary);
     ("analysis warns on dead rules", `Quick, test_analysis_warns_on_dead_rule);
     ("conflict footprints", `Quick, test_footprints);
-    QCheck_alcotest.to_alcotest prop_merged_equivalent;
+    QCheck_alcotest.to_alcotest prop_plans_match_reference;
     ("footprint dispatch end to end", `Quick, test_footprint_dispatch_end_to_end);
+    ("guarded rules allocation bound", `Quick, test_guarded_rules_allocation);
   ]

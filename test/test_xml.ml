@@ -158,6 +158,25 @@ let test_pretty () =
   check bool_ "multiline" true (String.contains pretty '\n');
   check bool_ "reparses equal" true (Tree.equal_tree t (parse pretty))
 
+(* A prefix declared on the first element that uses it is out of scope in
+   a sibling subtree: each subtree must declare it again. *)
+let test_namespaces_in_sibling_subtrees () =
+  let uri = "urn:demaq:sibling" in
+  let subtree root =
+    Tree.elem root
+      [ Tree.elem_ns (Name.make ~uri "x") [ Tree.text root ];
+        Tree.elem_ns
+          ~attrs:[ { Tree.attr_name = Name.make ~uri:"urn:demaq:attr" "flag"; attr_value = root } ]
+          (Name.make "y") [] ]
+  in
+  let t = Tree.elem "doc" [ subtree "a"; subtree "b" ] in
+  List.iter
+    (fun (what, s) ->
+      match Parser.parse_result s with
+      | Ok t' -> check bool_ (what ^ " parses back to the same tree") true (Tree.equal_tree t t')
+      | Error e -> Alcotest.failf "%s does not parse back: %s\n%s" what e s)
+    [ ("compact", Serializer.to_string t); ("pretty", Serializer.to_string_pretty t) ]
+
 let test_decl () =
   let s = Serializer.to_string ~decl:true (parse "<a/>") in
   check bool_ "decl" true (contains_sub ~sub:"<?xml" (String.sub s 0 5))
@@ -451,6 +470,7 @@ let prop_doc_order_uniq =
 let suite =
   [
     ("name roundtrip", `Quick, test_name_roundtrip);
+    ("namespaces in sibling subtrees", `Quick, test_namespaces_in_sibling_subtrees);
     ("name compare", `Quick, test_name_compare);
     ("parse simple", `Quick, test_parse_simple);
     ("parse attributes", `Quick, test_parse_attributes);
