@@ -318,7 +318,7 @@ let note_outgoing t (m : Message.t) =
 let mint_flow t ~origin =
   let seq = t.flow_seq in
   t.flow_seq <- seq + 1;
-  Printf.sprintf "%s-%s-%d" t.cfg.node_name origin seq
+  String.concat "-" [ t.cfg.node_name; origin; string_of_int seq ]
 
 (* Root provenance for a message entering from outside the cascade:
    adopt the caller-supplied flow id (X-Demaq-Flow) or mint one. *)
@@ -987,11 +987,8 @@ let evaluate t txn blamed ~acts (m : Message.t) work =
     (fun pw ->
       if not (Array.exists Fun.id pw.pw_admit) then []
       else begin
-        let host = host_for t m ~slice_ctx:pw.pw_slice_ctx in
-        let env = Context.make ~host () in
-        let env =
-          { env with Context.item = Some (Value.Node (message_node t m)) }
-        in
+        let host = lazy (host_for t m ~slice_ctx:pw.pw_slice_ctx) in
+        let env = Context.make ~host ~item:(Value.Node (message_node t m)) () in
         let tagged = ref [] in
         Array.iteri
           (fun i (cr : Compiler.compiled_rule) ->

@@ -35,6 +35,7 @@ type enc = {
 }
 
 let initial_tok = 1024
+let initial_names = 64
 let scratch_cap = 1 lsl 20 (* shrink arenas bigger than 1 MiB after use *)
 let no_name = Name.make ""
 
@@ -43,7 +44,7 @@ let make_enc () =
     tok = Bytes.create initial_tok;
     tlen = 0;
     out = Buffer.create 256;
-    tbl = Hashtbl.create 64;
+    tbl = Hashtbl.create initial_names;
     names = Array.make 16 no_name;
     elem_used = Bytes.make 16 '\x00';
     ncount = 0;
@@ -51,11 +52,13 @@ let make_enc () =
 
 let scratch_key = Domain.DLS.new_key make_enc
 
+(* [Hashtbl.clear] keeps the bucket array, so the common small message
+   allocates none; a table grown past its initial size is shrunk. *)
 let reset e =
   e.tlen <- 0;
   Buffer.clear e.out;
   if e.ncount > 0 then begin
-    Hashtbl.reset e.tbl;
+    if e.ncount > 2 * initial_names then Hashtbl.reset e.tbl else Hashtbl.clear e.tbl;
     Bytes.fill e.elem_used 0 e.ncount '\x00';
     e.ncount <- 0
   end
@@ -108,9 +111,9 @@ let patch_u32 e at v =
 
 let name_id e ~elem name =
   let idx =
-    match Hashtbl.find_opt e.tbl name with
-    | Some i -> i
-    | None ->
+    match Hashtbl.find e.tbl name with
+    | i -> i
+    | exception Not_found ->
       let i = e.ncount in
       if i = Array.length e.names then begin
         let names = Array.make (2 * i) no_name in
@@ -149,15 +152,26 @@ let rec encode_tree e t =
     put_u8 e tok_element;
     put_varint e (name_id e ~elem:true name);
     put_varint e (List.length attrs);
-    List.iter
-      (fun { Tree.attr_name; attr_value } ->
-        put_varint e (name_id e ~elem:false attr_name);
-        put_string e attr_value)
-      attrs;
+    encode_attrs e attrs;
     let at = reserve_u32 e in
     let start = e.tlen in
-    List.iter (encode_tree e) children;
+    encode_children e children;
     patch_u32 e at (e.tlen - start)
+
+(* Loops, not [List.iter] over a closure: one closure per element adds up
+   on every enqueue. *)
+and encode_attrs e = function
+  | [] -> ()
+  | { Tree.attr_name; attr_value } :: rest ->
+    put_varint e (name_id e ~elem:false attr_name);
+    put_string e attr_value;
+    encode_attrs e rest
+
+and encode_children e = function
+  | [] -> ()
+  | t :: rest ->
+    encode_tree e t;
+    encode_children e rest
 
 let buf_varint b v =
   let rec go v =

@@ -11,11 +11,14 @@ type content =
 
 module Smap = Map.Make (String)
 
-type t = content Smap.t
+(* [names] is [decls]' key list, kept so that admitting a message builds
+   no list. *)
+type t = { decls : content Smap.t; names : string list }
 
-let empty = Smap.empty
-let declare t name content = Smap.add name content t
-let declared t name = Smap.find_opt name t
+let of_decls decls = { decls; names = List.map fst (Smap.bindings decls) }
+let empty = of_decls Smap.empty
+let declare t name content = of_decls (Smap.add name content t.decls)
+let declared t name = Smap.find_opt name t.decls
 
 (* ---- textual syntax ---- *)
 
@@ -80,84 +83,85 @@ let parse src =
          decls (Smap.add name content t) rest)
     | tok :: _ -> Error ("schema: expected 'element', found " ^ tok)
   in
-  decls Smap.empty (tokenize src)
+  Result.map of_decls (decls Smap.empty (tokenize src))
 
-(* ---- validation ---- *)
+(* ---- validation ----
 
-let child_element_names tree =
-  List.filter_map
-    (function Tree.Element e -> Some (Name.local e.Tree.name) | _ -> None)
-    (match tree with Tree.Element e -> e.children | _ -> [])
+   The success path allocates nothing: a message is validated on every
+   admission. *)
 
-let has_nonspace_text tree =
-  match tree with
-  | Tree.Element e ->
-    List.exists
-      (function
-        | Tree.Text s -> String.exists (fun c -> not (List.mem c [ ' '; '\t'; '\n'; '\r' ])) s
-        | _ -> false)
-      e.children
-  | _ -> false
+let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
 
-(* Greedy matching of a child-name list against a particle sequence.
+let rec next_element = function
+  | (Tree.Element _ :: _ | []) as kids -> kids
+  | (Tree.Text _ | Tree.Comment _ | Tree.Pi _) :: rest -> next_element rest
+
+let element_local = function Tree.Element e -> Name.local e.Tree.name | _ -> ""
+
+let has_nonspace_text children =
+  List.exists
+    (function Tree.Text s -> not (String.for_all is_space s) | _ -> false)
+    children
+
+let bounds = function
+  | One -> (1, 1)
+  | Optional -> (0, 1)
+  | Many -> (0, max_int)
+  | Many1 -> (1, max_int)
+
+(* Greedy matching of the element children against a particle sequence.
    Particles are matched in order; [*], [+] consume greedily. Greedy
    matching is exact here because consecutive particles in our content
    models never share a name. *)
-let match_sequence particles names =
-  let rec go ps names =
-    match ps with
-    | [] -> if names = [] then Ok () else Error ("unexpected element <" ^ List.hd names ^ ">")
-    | { pname; occ } :: ps' ->
-      let rec eat n names =
-        match names with
-        | x :: rest when x = pname -> eat (n + 1) rest
-        | _ -> (n, names)
-      in
-      let count, rest = eat 0 names in
-      let min_c, max_c =
-        match occ with
-        | One -> (1, 1)
-        | Optional -> (0, 1)
-        | Many -> (0, max_int)
-        | Many1 -> (1, max_int)
-      in
-      if count < min_c then
-        Error (Printf.sprintf "missing required element <%s>" pname)
+let match_sequence particles children =
+  let rec go ps kids =
+    match ps, next_element kids with
+    | [], [] -> Ok ()
+    | [], kid :: _ -> Error ("unexpected element <" ^ element_local kid ^ ">")
+    | p :: ps', kids -> eat p ps' 0 kids
+  and eat p ps' count kids =
+    match next_element kids with
+    | Tree.Element e :: rest when String.equal (Name.local e.Tree.name) p.pname ->
+      eat p ps' (count + 1) rest
+    | kids ->
+      let min_c, max_c = bounds p.occ in
+      if count < min_c then Error (Printf.sprintf "missing required element <%s>" p.pname)
       else if count > max_c then
-        Error (Printf.sprintf "too many <%s> elements (%d)" pname count)
-      else go ps' rest
+        Error (Printf.sprintf "too many <%s> elements (%d)" p.pname count)
+      else go ps' kids
   in
-  go particles names
+  go particles children
 
 let rec validate_tree t tree =
   match tree with
   | Tree.Text _ | Tree.Comment _ | Tree.Pi _ -> Ok ()
-  | Tree.Element e ->
+  | Tree.Element e -> (
     let name = Name.local e.Tree.name in
     let local_check =
-      match Smap.find_opt name t with
-      | None | Some Any | Some Mixed -> Ok ()
-      | Some Empty ->
-        if e.children = [] then Ok ()
-        else Error (Printf.sprintf "<%s> must be empty" name)
-      | Some Text_only ->
-        if child_element_names tree = [] then Ok ()
+      match Smap.find name t.decls with
+      | exception Not_found -> Ok ()
+      | Any | Mixed -> Ok ()
+      | Empty ->
+        if e.children = [] then Ok () else Error (Printf.sprintf "<%s> must be empty" name)
+      | Text_only ->
+        if next_element e.children = [] then Ok ()
         else Error (Printf.sprintf "<%s> must contain only text" name)
-      | Some (Sequence ps) ->
-        if has_nonspace_text tree then
+      | Sequence ps -> (
+        if has_nonspace_text e.children then
           Error (Printf.sprintf "<%s> may not contain text" name)
-        else begin
-          match match_sequence ps (child_element_names tree) with
+        else
+          match match_sequence ps e.children with
           | Ok () -> Ok ()
-          | Error msg -> Error (Printf.sprintf "in <%s>: %s" name msg)
-        end
+          | Error msg -> Error (Printf.sprintf "in <%s>: %s" name msg))
     in
-    (match local_check with
-     | Error _ as e -> e
-     | Ok () ->
-       List.fold_left
-         (fun acc c -> match acc with Error _ -> acc | Ok () -> validate_tree t c)
-         (Ok ()) e.children)
+    match local_check with
+    | Error _ as err -> err
+    | Ok () -> validate_children t e.children)
+
+and validate_children t = function
+  | [] -> Ok ()
+  | c :: rest -> (
+    match validate_tree t c with Ok () -> validate_children t rest | err -> err)
 
 let validate t tree = validate_tree t tree
 
@@ -171,7 +175,7 @@ let root_allowed t roots tree =
     else validate t tree
   | _ -> Error "document root must be an element"
 
-let declared_names t = List.map fst (Smap.bindings t)
+let declared_names t = t.names
 
 (* ---- sample-message generation ----
 
@@ -205,11 +209,11 @@ let leaf_text name vary =
   else Printf.sprintf "%s-%d" name vary
 
 let example ?(vary = 0) ?(max_depth = 8) t name =
-  match Smap.find_opt name t with
+  match Smap.find_opt name t.decls with
   | None -> None
   | Some _ ->
     let rec build depth name vary =
-      match if depth <= 0 then None else Some (Smap.find_opt name t) with
+      match if depth <= 0 then None else Some (Smap.find_opt name t.decls) with
       | None | Some (Some Empty) -> Tree.elem name []
       | Some (None | Some (Any | Text_only | Mixed)) ->
         Tree.elem name [ Tree.text (leaf_text name vary) ]

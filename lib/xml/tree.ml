@@ -40,11 +40,21 @@ let find_child t name =
       e.children
   | _ -> None
 
+let rec add_string_value buf = function
+  | Text s -> Buffer.add_string buf s
+  | Element e -> List.iter (add_string_value buf) e.children
+  | Comment _ | Pi _ -> ()
+
+(* A lone text child, the common leaf shape, is returned as is. *)
 let rec tree_string_value t =
   match t with
   | Text s -> s
-  | Element e -> String.concat "" (List.map tree_string_value e.children)
-  | Comment _ | Pi _ -> ""
+  | Element { children = [ t ]; _ } -> tree_string_value t
+  | Element { children = []; _ } | Comment _ | Pi _ -> ""
+  | Element e ->
+    let buf = Buffer.create 64 in
+    List.iter (add_string_value buf) e.children;
+    Buffer.contents buf
 
 let rec equal_tree a b =
   match a, b with
@@ -105,17 +115,18 @@ let child_trees n =
   | Ftree (Element e) -> e.children
   | Ftree (Text _ | Comment _ | Pi _) | Fattribute _ -> []
 
-let children_where keep n =
+let children_where keep wrap n =
   let rec go i = function
     | [] -> []
     | t :: rest ->
       if keep t then
-        { ndoc = n.ndoc; rpath = Child i :: n.rpath; nfocus = Ftree t } :: go (i + 1) rest
+        wrap { ndoc = n.ndoc; rpath = Child i :: n.rpath; nfocus = Ftree t }
+        :: go (i + 1) rest
       else go (i + 1) rest
   in
   go 0 (child_trees n)
 
-let children n = children_where (fun _ -> true) n
+let children n = children_where (fun _ -> true) Fun.id n
 
 let attributes n =
   match n.nfocus with
@@ -152,32 +163,75 @@ let parent n =
     let nfocus = resolve_path n.ndoc up in
     Some { ndoc = n.ndoc; rpath = up; nfocus }
 
-(* One pre-order walk over the subtrees below [n]. A node handle is built
-   only for the trees [keep] accepts; the path of an element is built only
-   when the walk descends into its children. *)
-let descendants_where keep n =
+(* Chain walks. [n//t1/t2/.../tk] (child steps without predicates) holds
+   the nodes x strictly below [n] whose name path ends in t1..tk: x passes
+   tk, its parent t(k-1), ..., its (k-1)-th ancestor t1. A pre-order walk
+   decides that per node from its parent's mask alone: bit j of a node's
+   mask is set when the node passes t(j+1) and its parent's bit j-1 is
+   set (bit 0 needs no parent). A node is a hit when bit k-1 is set.
+   Each node has one parent, so every hit is found once, in document
+   order, with no intermediate node lists. *)
+let max_chain = Sys.int_size - 1
+
+let rec chain_mask test tests parent_mask t j mask =
+  if j = Array.length tests then mask
+  else if (j = 0 || parent_mask land (1 lsl (j - 1)) <> 0) && test tests.(j) t then
+    chain_mask test tests parent_mask t (j + 1) (mask lor (1 lsl j))
+  else chain_mask test tests parent_mask t (j + 1) mask
+
+let check_chain tests =
+  let k = Array.length tests in
+  if k = 0 || k > max_chain then invalid_arg "Tree.chain_where: chain length"
+
+(* A node handle is built only for a hit; the path of an element only when
+   the walk descends into its children. *)
+let chain_where test tests wrap n =
+  check_chain tests;
+  let last = 1 lsl (Array.length tests - 1) in
   let ndoc = n.ndoc in
-  let rec walk rpath trees i acc =
+  let rec walk rpath parent_mask trees i acc =
     match trees with
     | [] -> acc
     | t :: rest ->
+      let mask = chain_mask test tests parent_mask t 0 0 in
       let kids =
         match t with Element e -> e.children | Text _ | Comment _ | Pi _ -> []
       in
-      let hit = keep t in
+      let hit = mask land last <> 0 in
       let acc =
         if hit || kids <> [] then begin
           let rpath' = Child i :: rpath in
-          let acc = if hit then { ndoc; rpath = rpath'; nfocus = Ftree t } :: acc else acc in
-          walk rpath' kids 0 acc
+          let acc =
+            if hit then wrap { ndoc; rpath = rpath'; nfocus = Ftree t } :: acc else acc
+          in
+          walk rpath' mask kids 0 acc
         end
         else acc
       in
-      walk rpath rest (i + 1) acc
+      walk rpath parent_mask rest (i + 1) acc
   in
-  List.rev (walk n.rpath (child_trees n) 0 [])
+  List.rev (walk n.rpath 0 (child_trees n) 0 [])
 
-let descendants n = descendants_where (fun _ -> true) n
+let chain_first test tests n =
+  check_chain tests;
+  let last = 1 lsl (Array.length tests - 1) in
+  let rec walk parent_mask = function
+    | [] -> None
+    | t :: rest -> (
+      let mask = chain_mask test tests parent_mask t 0 0 in
+      if mask land last <> 0 then Some t
+      else
+        match t with
+        | Element e -> (
+          match walk mask e.children with
+          | Some _ as hit -> hit
+          | None -> walk parent_mask rest)
+        | Text _ | Comment _ | Pi _ -> walk parent_mask rest)
+  in
+  walk 0 (child_trees n)
+
+(* Every node below [n]: a one-step chain whose step accepts anything. *)
+let descendants n = chain_where (fun () _ -> true) [| () |] Fun.id n
 let descendant_or_self n = n :: descendants n
 
 let node_name n =
@@ -189,7 +243,13 @@ let node_name n =
 
 let string_value n =
   match n.nfocus with
-  | Fdocument -> String.concat "" (List.map tree_string_value n.ndoc.roots)
+  | Fdocument -> (
+    match n.ndoc.roots with
+    | [ t ] -> tree_string_value t
+    | roots ->
+      let buf = Buffer.create 64 in
+      List.iter (add_string_value buf) roots;
+      Buffer.contents buf)
   | Ftree t -> tree_string_value t
   | Fattribute a -> a.attr_value
 

@@ -75,9 +75,9 @@ val children : node -> node list
 (** Child nodes (elements, text, comments, PIs), in document order.
     Attribute nodes are not children; see {!attributes}. *)
 
-val children_where : (tree -> bool) -> node -> node list
-(** [children_where keep n] is the children of [n] whose subtree [keep]
-    accepts, building a node handle only for those. *)
+val children_where : (tree -> bool) -> (node -> 'a) -> node -> 'a list
+(** [children_where keep wrap n] is [wrap] of the children of [n] whose
+    subtree [keep] accepts, building a node handle only for those. *)
 
 val attributes : node -> node list
 val parent : node -> node option
@@ -87,10 +87,22 @@ val descendants : node -> node list
 
 val descendant_or_self : node -> node list
 
-val descendants_where : (tree -> bool) -> node -> node list
-(** [descendants_where keep n] is the descendants of [n] whose subtree
-    [keep] accepts, in document order, computed in one pre-order walk that
-    builds a node handle only for the accepted ones. *)
+val max_chain : int
+(** The longest chain {!chain_where} and {!chain_first} accept. *)
+
+val chain_where : ('t -> tree -> bool) -> 't array -> (node -> 'a) -> node -> 'a list
+(** [chain_where test tests wrap n] is [wrap] of the nodes that
+    [n//t1/t2/.../tk] selects, where [tests] is [[|t1; ...; tk|]] and a
+    node passes step [tj] when [test tj] accepts its subtree: the
+    descendants x of [n] that pass tk, whose parent passes t(k-1), and so
+    on up to the (k-1)-th ancestor of x, which passes t1 and lies strictly
+    below [n]. Computed in one pre-order walk, in document order, without
+    duplicates and without intermediate node lists.
+    @raise Invalid_argument unless [1 <= Array.length tests <= max_chain]. *)
+
+val chain_first : ('t -> tree -> bool) -> 't array -> node -> tree option
+(** The subtree of the first node {!chain_where} would select, found
+    without building any node handle; the walk stops there. *)
 
 val node_name : node -> Name.t option
 val string_value : node -> string

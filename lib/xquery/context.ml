@@ -39,12 +39,14 @@ type env = {
   pos : int;  (* fn:position() *)
   size : int;  (* fn:last() *)
   vars : Value.t Smap.t;
-  host : host;
+  host : host Lazy.t;  (* forced by the first call that needs a hook *)
   updates : Update.t list ref;  (* pending update accumulator *)
 }
 
-let make ?(host = null_host) ?item () =
+let make ?(host = Lazy.from_val null_host) ?item () =
   { item; pos = 1; size = 1; vars = Smap.empty; host; updates = ref [] }
+
+let host env = Lazy.force env.host
 
 let with_item env item pos size = { env with item = Some item; pos; size }
 let bind env name value = { env with vars = Smap.add name value env.vars }

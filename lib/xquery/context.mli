@@ -34,11 +34,16 @@ type env = {
   pos : int;  (** [fn:position()] *)
   size : int;  (** [fn:last()] *)
   vars : Value.t Map.Make(String).t;
-  host : host;
+  host : host Lazy.t;
+      (** forced by the first call that needs a hook, so a rule that
+          calls none never builds the engine's closures *)
   updates : Update.t list ref;  (** pending update accumulator *)
 }
 
-val make : ?host:host -> ?item:Value.item -> unit -> env
+val make : ?host:host Lazy.t -> ?item:Value.item -> unit -> env
+(** [host] defaults to {!null_host}. *)
+
+val host : env -> host
 
 val with_item : env -> Value.item -> int -> int -> env
 (** Focus the context on one item with its position and size. *)

@@ -112,17 +112,15 @@ let test_node test n =
    a boolean (never a number, which would select by position) and cannot
    observe the focus position or size. *)
 let non_positional pred =
+  let has_local name local =
+    let n = String.length name and l = String.length local in
+    String.ends_with ~suffix:local name && (n = l || name.[n - l - 1] = ':')
+  in
   let positional acc e =
     acc
     ||
     match e with
-    | Call (name, _) -> (
-      let local =
-        match String.rindex_opt name ':' with
-        | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-        | None -> name
-      in
-      match local with "position" | "last" -> true | _ -> false)
+    | Call (name, _) -> has_local name "position" || has_local name "last"
     | _ -> false
   in
   match pred with
@@ -130,16 +128,81 @@ let non_positional pred =
     not (Ast.fold_expr positional false pred)
   | _ -> false
 
+(* ---- chains: [E//t1/t2/.../tk], every child step without predicates ----
+
+   Such a path selects the nodes below E whose name path ends in t1..tk;
+   {!Tree.chain_where} finds them in one walk, in document order, and
+   {!Tree.chain_first} stops at the first. *)
+
+(* The chain's length k, or 0 when [e] is not a chain. *)
+let rec chain_length = function
+  | Path
+      ( Path (_, Axis_step (Descendant_or_self, Node_kind_test, [])),
+        Axis_step (Child, _, []) ) -> 1
+  | Path (inner, Axis_step (Child, _, [])) ->
+    let k = chain_length inner in
+    if k = 0 || k >= Tree.max_chain then 0 else k + 1
+  | _ -> 0
+
+(* Fill [tests] with t1..tk from a chain of length k = j + 1; return E. *)
+let rec chain_split tests j = function
+  | Path (inner, Axis_step (Child, test, [])) -> (
+    tests.(j) <- test;
+    if j > 0 then chain_split tests (j - 1) inner
+    else match inner with Path (base, _) -> base | _ -> invalid_arg "chain_split")
+  | _ -> invalid_arg "chain_split"
+
+let node_item n = Node n
+let true_v = [ Atom (Boolean true) ]
+let false_v = [ Atom (Boolean false) ]
+let bool_v b = if b then true_v else false_v
+
+(* The fn: functions whose result depends only on whether their argument
+   is empty, on its effective boolean value or on its first item. *)
+let short_call = function
+  | "not" | "fn:not" -> `Not
+  | "boolean" | "fn:boolean" -> `Boolean
+  | "exists" | "fn:exists" -> `Exists
+  | "empty" | "fn:empty" -> `Empty
+  | "string" | "fn:string" -> `String
+  | _ -> `Other
+
+(* Cons a child onto a reversed child list, merging adjacent text nodes
+   as constructors must. *)
+let push_kid t rev =
+  match t, rev with
+  | Tree.Text b, Tree.Text a :: rest -> Tree.Text (a ^ b) :: rest
+  | _ -> t :: rev
+
+let forward = function ([] | [ _ ]) as l -> l | rev -> List.rev rev
+
+let local_name tag =
+  match String.index_opt tag ':' with
+  | Some i -> String.sub tag (i + 1) (String.length tag - i - 1)
+  | None -> tag
+
+let join_atoms = function
+  | [] -> ""
+  | [ a ] -> string_of_atomic a
+  | atoms -> String.concat " " (List.map string_of_atomic atoms)
+
+let root_of env = Tree.root_node (Tree.node_document (context_node env))
+
 let rec eval env expr : Value.t =
   match expr with
   | Literal a -> [ Atom a ]
   | Empty_seq -> []
   | Var v -> lookup env v
   | Context_item -> [ context_item env ]
-  | Root ->
-    let n = context_node env in
-    [ Node (Tree.root_node (Tree.node_document n)) ]
+  | Root -> [ Node (root_of env) ]
   | Sequence es -> List.concat_map (eval env) es
+  | Path (a, (Axis_step (Child, _, []) as b)) ->
+    let k = chain_length expr in
+    if k = 0 then eval_path env a b
+    else
+      let tests = Array.make k Node_kind_test in
+      let base = chain_split tests (k - 1) expr in
+      eval_chain env base tests
   | Path
       ( Path (a, Axis_step (Descendant_or_self, Node_kind_test, [])),
         Axis_step (Child, test, preds) )
@@ -149,27 +212,24 @@ let rec eval env expr : Value.t =
     eval_path env a (Axis_step (Descendant, test, preds))
   | Path (a, b) -> eval_path env a b
   | Axis_step (axis, test, preds) ->
-    let n = context_node env in
-    let candidates =
-      match axis with
-      | Child -> Tree.children_where (test_tree test) n
-      | Descendant -> Tree.descendants_where (test_tree test) n
-      | Descendant_or_self -> List.filter (test_node test) (Tree.descendant_or_self n)
-      | Self -> if test_node test n then [ n ] else []
-      | Parent -> (
-        match Tree.parent n with Some p when test_node test p -> [ p ] | _ -> [])
-      | Attribute -> List.filter (test_node test) (Tree.attributes n)
-    in
-    apply_predicates env preds (List.map (fun n -> Node n) candidates)
+    apply_predicates env preds (axis_items axis test (context_node env))
   | Filter (e, preds) -> apply_predicates env preds (eval env e)
+  | Call (name, [ a ]) -> (
+    match short_call name with
+    | `Not -> bool_v (not (ebv_of env a))
+    | `Boolean -> bool_v (ebv_of env a)
+    | `Exists -> bool_v (exists_of env a)
+    | `Empty -> bool_v (not (exists_of env a))
+    | `String -> [ Atom (String (string_of env a)) ]
+    | `Other -> Functions.call env name [ eval env a ])
   | Call (name, args) -> Functions.call env name (List.map (eval env) args)
-  | If (c, t, e) -> if ebv (eval env c) then eval env t else eval env e
+  | If (c, t, e) -> if ebv_of env c then eval env t else eval env e
   | Flwor (clauses, ret) ->
     let tuples = eval_clauses env [ env ] clauses in
     List.concat_map (fun env' -> eval env' ret) tuples
   | Quantified (q, binds, sat) ->
     let rec go env = function
-      | [] -> ebv (eval env sat)
+      | [] -> ebv_of env sat
       | (v, e) :: rest ->
         let items = eval env e in
         let test item = go (bind env v [ item ]) rest in
@@ -201,21 +261,14 @@ let rec eval env expr : Value.t =
     | _ -> err "'to' over multi-item sequence")
   | Direct_elem d -> [ Node (node_of_tree (construct env d)) ]
   | Computed_elem (name_expr, content_expr) ->
-    let name = constructor_name env name_expr in
-    let attrs, children = content_items env (eval env content_expr) in
-    [ Node (node_of_tree (Tree.Element { name = Name.make name; attrs; children })) ]
+    [ Node (node_of_tree (computed_elem env name_expr content_expr)) ]
   | Computed_attr (name_expr, value_expr) ->
     let name = constructor_name env name_expr in
-    let value =
-      String.concat " " (List.map string_of_atomic (atomize (eval env value_expr)))
-    in
-    [ Node (attribute_node name value) ]
+    [ Node (attribute_node name (atoms_string env value_expr)) ]
   | Computed_text content_expr -> (
     match atomize (eval env content_expr) with
     | [] -> []
-    | atoms ->
-      let text = String.concat " " (List.map string_of_atomic atoms) in
-      [ Node (node_of_tree_text text) ])
+    | atoms -> [ Node (node_of_tree_text (join_atoms atoms)) ])
   | Cast (e, ty, kind) -> (
     match atomize (eval env e), kind with
     | [], `Cast -> []
@@ -233,7 +286,13 @@ let rec eval env expr : Value.t =
     if seq_matches v st then v
     else err "treat as: value does not match %s" (Pp.seq_type_name st)
   | Enqueue { payload; queue; props } ->
-    let tree = payload_tree env (eval env payload) in
+    let tree =
+      match payload with
+      | Direct_elem d -> construct env d
+      | Computed_elem (name_expr, content_expr) ->
+        computed_elem env name_expr content_expr
+      | _ -> payload_tree (eval env payload)
+    in
     let props =
       List.map
         (fun (name, e) ->
@@ -259,6 +318,7 @@ let rec eval env expr : Value.t =
 
 and eval_path env a b =
   match eval env a, b with
+  | [ Node n ], Axis_step (axis, test, []) -> axis_items axis test n
   | [ item ], Axis_step _ ->
     (* any axis from one node yields distinct nodes in document order *)
     eval (with_item env item 1 1) b
@@ -269,6 +329,85 @@ and eval_path env a b =
         (List.mapi (fun i item -> eval (with_item env item (i + 1) size) b) base)
     in
     if all_nodes results then doc_order_dedup results else results
+
+and axis_items axis test n : Value.t =
+  match axis with
+  | Child -> Tree.children_where (test_tree test) node_item n
+  | Descendant -> Tree.chain_where test_tree [| test |] node_item n
+  | Descendant_or_self ->
+    List.filter_map
+      (fun n -> if test_node test n then Some (Node n) else None)
+      (Tree.descendant_or_self n)
+  | Self -> if test_node test n then [ Node n ] else []
+  | Parent -> (
+    match Tree.parent n with Some p when test_node test p -> [ Node p ] | _ -> [])
+  | Attribute ->
+    List.filter_map
+      (fun n -> if test_node test n then Some (Node n) else None)
+      (Tree.attributes n)
+
+(* A chain's base items become walk roots; a non-node base item fails as
+   the literal [E/descendant-or-self::node()] step would. *)
+and chain_root env item =
+  match item with Node n -> n | Atom _ -> context_node (with_item env item 1 1)
+
+and eval_chain env base tests =
+  match base with
+  | Root -> Tree.chain_where test_tree tests node_item (root_of env)
+  | _ -> chain_items env (eval env base) tests
+
+and chain_items env items tests =
+  match items with
+  | [] -> []
+  | [ item ] -> Tree.chain_where test_tree tests node_item (chain_root env item)
+  | items ->
+    doc_order_dedup
+      (List.concat_map
+         (fun item -> Tree.chain_where test_tree tests node_item (chain_root env item))
+         items)
+
+(* The subtree of the chain's first hit in document order. *)
+and chain_first env e k =
+  let tests = Array.make k Node_kind_test in
+  match chain_split tests (k - 1) e with
+  | Root -> Tree.chain_first test_tree tests (root_of env)
+  | base -> (
+    match eval env base with
+    | [] -> None
+    | [ item ] -> Tree.chain_first test_tree tests (chain_root env item)
+    | items -> (
+      match chain_items env items tests with
+      | Node n :: _ -> Tree.node_tree n
+      | _ -> None))
+
+(* Consumers that need less than the whole sequence: an effective boolean
+   value, emptiness, or the string value of the first item. A chain
+   stops at its first hit; anything else is evaluated in full. *)
+and ebv_of env e =
+  match e with
+  | Binary (And, a, b) -> ebv_of env a && ebv_of env b
+  | Binary (Or, a, b) -> ebv_of env a || ebv_of env b
+  | Call (name, [ a ]) -> (
+    match short_call name with
+    | `Not -> not (ebv_of env a)
+    | `Boolean -> ebv_of env a
+    | `Exists -> exists_of env a
+    | `Empty -> not (exists_of env a)
+    | `String | `Other -> ebv (eval env e))
+  | _ ->
+    let k = chain_length e in
+    if k > 0 then Option.is_some (chain_first env e k) else ebv (eval env e)
+
+and exists_of env e =
+  let k = chain_length e in
+  if k > 0 then Option.is_some (chain_first env e k)
+  else match eval env e with [] -> false | _ :: _ -> true
+
+and string_of env e =
+  let k = chain_length e in
+  if k > 0 then
+    match chain_first env e k with Some t -> Tree.tree_string_value t | None -> ""
+  else string_value (eval env e)
 
 and constructor_name env name_expr =
   match atomize (eval env name_expr) with
@@ -282,7 +421,7 @@ and node_of_tree_text text =
   | [ n ] -> n
   | _ -> assert false
 
-and payload_tree _env v =
+and payload_tree v =
   match v with
   | [ Node n ] -> (
     match Tree.focus n with
@@ -295,7 +434,6 @@ and payload_tree _env v =
   | [ Atom _ ] -> err "do enqueue: payload must be an element node, not an atomic value"
   | [] -> err "do enqueue: payload expression returned the empty sequence"
   | _ -> err "do enqueue: payload expression returned multiple items"
-  [@@warning "-27"]
 
 and apply_predicates env preds items =
   List.fold_left
@@ -309,7 +447,7 @@ and apply_predicates env preds items =
              let keep =
                match r with
                | [ Atom ((Integer _ | Decimal _) as a) ] ->
-                 int_of_float (number_of_atomic a) = i + 1
+                 number_of_atomic a = float_of_int (i + 1)
                | _ -> ebv r
              in
              if keep then [ item ] else [])
@@ -342,7 +480,7 @@ and eval_clauses env tuples clauses =
     in
     eval_clauses env tuples rest
   | Where e :: rest ->
-    eval_clauses env (List.filter (fun env' -> ebv (eval env' e)) tuples) rest
+    eval_clauses env (List.filter (fun env' -> ebv_of env' e) tuples) rest
   | Order_by keys :: rest ->
     let decorated =
       List.map
@@ -378,8 +516,8 @@ and eval_clauses env tuples clauses =
 
 and eval_binary env op a b =
   match op with
-  | Or -> [ Atom (Boolean (ebv (eval env a) || ebv (eval env b))) ]
-  | And -> [ Atom (Boolean (ebv (eval env a) && ebv (eval env b))) ]
+  | Or -> bool_v (ebv_of env a || ebv_of env b)
+  | And -> bool_v (ebv_of env a && ebv_of env b)
   | Gen_cmp c -> [ Atom (Boolean (general_compare c (eval env a) (eval env b))) ]
   | Val_cmp c -> value_compare c (eval env a) (eval env b)
   | Add -> arith `Add (eval env a) (eval env b)
@@ -421,84 +559,81 @@ and eval_binary env op a b =
       in
       [ Atom (Boolean result) ])
 
-(* ---- direct element constructors ---- *)
+(* ---- constructors ----
+
+   A constructed element is built as a bare tree. Only a consumer that
+   needs a node wraps it in a document ([node_of_tree]); an enclosing
+   constructor or [do enqueue] takes the tree as is. *)
 
 and construct env d : Tree.tree =
   let attrs =
     List.map
       (fun (name, pieces) ->
-        let value =
-          String.concat ""
-            (List.map
-               (function
-                 | A_text s -> s
-                 | A_expr e ->
-                   String.concat " "
-                     (List.map string_of_atomic (atomize (eval env e))))
-               pieces)
-        in
-        { Tree.attr_name = Name.make (local_name name); attr_value = value })
+        { Tree.attr_name = Name.make (local_name name); attr_value = attr_value env pieces })
       d.dattrs
   in
-  let extra_attrs, children =
-    List.fold_left
-      (fun (attrs_acc, kids_acc) piece ->
-        match piece with
-        | C_text s -> (attrs_acc, kids_acc @ [ Tree.Text s ])
-        | C_expr e ->
-          let new_attrs, new_kids = content_items env (eval env e) in
-          (attrs_acc @ new_attrs, kids_acc @ new_kids))
-      ([], []) d.dcontent
-  in
-  (* Merge adjacent text nodes, as constructors must. *)
-  let rec merge = function
-    | Tree.Text a :: Tree.Text b :: rest -> merge (Tree.Text (a ^ b) :: rest)
-    | x :: rest -> x :: merge rest
-    | [] -> []
-  in
+  let extra = ref [] in
+  let rev = construct_content env extra [] d.dcontent in
   Tree.Element
     {
       name = Name.make (local_name d.tag);
-      attrs = attrs @ extra_attrs;
-      children = merge children;
+      attrs = (match !extra with [] -> attrs | extra -> attrs @ List.rev extra);
+      children = forward rev;
     }
 
-and local_name tag =
-  match String.index_opt tag ':' with
-  | Some i -> String.sub tag (i + 1) (String.length tag - i - 1)
-  | None -> tag
+(* Children accumulate in reverse in [rev]; attribute nodes of the
+   content go to [extra], also reversed. *)
+and construct_content env extra rev = function
+  | [] -> rev
+  | C_text s :: rest -> construct_content env extra (push_kid (Tree.Text s) rev) rest
+  | C_expr e :: rest -> construct_content env extra (content_of env e extra rev) rest
 
-and content_items env items : Tree.attribute list * Tree.tree list =
-  (* Per XQuery: node items are copied (attribute nodes become attributes
-     of the constructed element); consecutive atomic items are joined with
-     single spaces into one text node. *)
-  let rec go = function
-    | [] -> ([], [])
-    | Node n :: rest when is_attribute_node n ->
-      let name =
-        match Tree.node_name n with Some nm -> nm | None -> Name.make "attr"
-      in
-      let attrs, kids = go rest in
-      ({ Tree.attr_name = name; attr_value = Tree.string_value n } :: attrs, kids)
-    | Node n :: rest ->
-      let attrs, kids = go rest in
-      (attrs, tree_of_node n :: kids)
-    | Atom a :: rest ->
-      let buf = Buffer.create 16 in
-      Buffer.add_string buf (string_of_atomic a);
-      let rec atoms = function
-        | Atom b :: rest ->
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (string_of_atomic b);
-          atoms rest
-        | rest -> rest
-      in
-      let rest = atoms rest in
-      let attrs, kids = go rest in
-      (attrs, Tree.Text (Buffer.contents buf) :: kids)
-  in
-  ignore env;
-  go items
+and computed_elem env name_expr content_expr =
+  let name = constructor_name env name_expr in
+  let extra = ref [] in
+  let rev = content_of env content_expr extra [] in
+  Tree.Element { name = Name.make name; attrs = List.rev !extra; children = forward rev }
+
+and content_of env e extra rev =
+  match e with
+  | Direct_elem d -> construct env d :: rev
+  | Computed_elem (name_expr, content_expr) ->
+    computed_elem env name_expr content_expr :: rev
+  | Call (name, [ a ]) when (match short_call name with `String -> true | _ -> false) ->
+    push_kid (Tree.Text (string_of env a)) rev
+  | _ -> content_items (eval env e) extra rev
+
+and attr_value env = function
+  | [] -> ""
+  | [ A_text s ] -> s
+  | [ A_expr e ] -> atoms_string env e
+  | pieces ->
+    String.concat ""
+      (List.map (function A_text s -> s | A_expr e -> atoms_string env e) pieces)
+
+and atoms_string env e = join_atoms (atomize (eval env e))
+
+(* Per XQuery: node items are copied (attribute nodes become attributes
+   of the constructed element); consecutive atomic items are joined with
+   single spaces into one text node. *)
+and content_items items extra rev =
+  match items with
+  | [] -> rev
+  | Node n :: rest when is_attribute_node n ->
+    let name =
+      match Tree.node_name n with Some nm -> nm | None -> Name.make "attr"
+    in
+    extra := { Tree.attr_name = name; attr_value = Tree.string_value n } :: !extra;
+    content_items rest extra rev
+  | Node n :: rest -> content_items rest extra (push_kid (tree_of_node n) rev)
+  | [ Atom a ] -> push_kid (Tree.Text (string_of_atomic a)) rev
+  | Atom a :: rest ->
+    let rec run acc = function
+      | Atom b :: rest -> run (b :: acc) rest
+      | rest -> (List.rev acc, rest)
+    in
+    let atoms, rest = run [ a ] rest in
+    content_items rest extra (push_kid (Tree.Text (join_atoms atoms)) rev)
 
 (* Dynamic type errors from the value model surface as evaluation errors. *)
 let eval env expr =
@@ -511,7 +646,7 @@ let eval_with_updates env expr =
 
 let run ?host ?(vars = []) ?context src =
   let expr = Parser.parse src in
-  let env = Context.make ?host () in
+  let env = Context.make ?host:(Option.map Lazy.from_val host) () in
   let env =
     match context with
     | Some tree -> { env with item = Some (Node (node_of_tree tree)) }

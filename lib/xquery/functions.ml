@@ -12,11 +12,6 @@ open Context
 
 let err = eval_error
 
-let strip_prefix name =
-  match String.index_opt name ':' with
-  | Some i -> (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1))
-  | None -> ("fn", name)
-
 let one_string args_name v =
   match atomize v with
   | [] -> ""
@@ -46,18 +41,31 @@ let ctx_or_arg env name args =
   | [ v ] -> v
   | _ -> err "%s: too many arguments" name
 
-(* substring with XPath 1-based, rounding semantics *)
+(* [fn:round]: the nearest integer, halves toward positive infinity
+   ([round(-2.5)] is -2). [x - floor x] is exact, so no sum rounds early. *)
+let round_half_up x =
+  if Float.is_integer x || Float.is_nan x then x
+  else
+    let r = Float.floor x in
+    let r = if x -. r >= 0.5 then r +. 1. else r in
+    if r = 0. && x < 0. then -0. else r
+
+(* [fn:substring] and [fn:subsequence] keep the 1-based positions p with
+   [lo <= p < hi], where [lo = round start] and [hi = lo + round length];
+   the comparisons are on numbers, so a NaN bound keeps nothing. *)
+let position_bounds start length =
+  let lo = round_half_up start in
+  (lo, match length with None -> Float.infinity | Some l -> lo +. round_half_up l)
+
+let in_bounds (lo, hi) p = lo <= float_of_int p && float_of_int p < hi
+
 let substring s start len_opt =
+  let lo, hi = position_bounds start len_opt in
   let n = String.length s in
-  let start = Float.round start in
-  let finish =
-    match len_opt with
-    | None -> float_of_int (n + 1)
-    | Some l -> start +. Float.round l
-  in
-  let lo = max 1 (int_of_float start) in
-  let hi = min (n + 1) (int_of_float finish) in
-  if hi <= lo then "" else String.sub s (lo - 1) (hi - lo)
+  if not (lo < hi) then ""
+  else
+    let clamp x = if x < 1. then 1 else if x > float_of_int (n + 1) then n + 1 else int_of_float x in
+    String.sub s (clamp lo - 1) (clamp hi - clamp lo)
 
 let normalize_space s =
   let words =
@@ -108,30 +116,30 @@ let distinct_values v =
   in
   List.map (fun a -> Atom a) (dedup [] atoms)
 
+(* Names are matched whole, an unprefixed name standing for its [fn:]
+   form, so a call splits no string. *)
 let call env name (args : Value.t list) : Value.t =
-  let prefix, local = strip_prefix name in
-  match prefix, local, args with
+  match name, args with
   (* ---- qs: queue library (host hooks) ---- *)
-  | "qs", "message", [] -> env.host.h_message ()
-  | "qs", "queue", [] -> env.host.h_queue None
-  | "qs", "queue", [ v ] -> env.host.h_queue (Some (one_string "qs:queue" v))
-  | "qs", "property", [ v ] -> env.host.h_property (one_string "qs:property" v)
-  | "qs", "slice", [] -> env.host.h_slice ()
-  | "qs", "slicekey", [] -> env.host.h_slicekey ()
-  | "qs", other, _ -> err "unknown qs: function qs:%s" other
+  | "qs:message", [] -> (host env).h_message ()
+  | "qs:queue", [] -> (host env).h_queue None
+  | "qs:queue", [ v ] -> (host env).h_queue (Some (one_string "qs:queue" v))
+  | "qs:property", [ v ] -> (host env).h_property (one_string "qs:property" v)
+  | "qs:slice", [] -> (host env).h_slice ()
+  | "qs:slicekey", [] -> (host env).h_slicekey ()
   (* ---- booleans ---- *)
-  | "fn", "true", [] -> bool_value true
-  | "fn", "false", [] -> bool_value false
-  | "fn", "not", [ v ] -> bool_value (not (ebv v))
-  | "fn", "boolean", [ v ] -> bool_value (ebv v)
+  | ("true" | "fn:true"), [] -> bool_value true
+  | ("false" | "fn:false"), [] -> bool_value false
+  | ("not" | "fn:not"), [ v ] -> bool_value (not (ebv v))
+  | ("boolean" | "fn:boolean"), [ v ] -> bool_value (ebv v)
   (* ---- sequences ---- *)
-  | "fn", "count", [ v ] -> int_value (List.length v)
-  | "fn", "exists", [ v ] -> bool_value (v <> [])
-  | "fn", "empty", [ v ] -> bool_value (v = [])
-  | "fn", "data", [ v ] -> List.map (fun a -> Atom a) (atomize v)
-  | "fn", "distinct-values", [ v ] -> distinct_values v
-  | "fn", "reverse", [ v ] -> List.rev v
-  | "fn", "index-of", [ v; x ] -> (
+  | ("count" | "fn:count"), [ v ] -> int_value (List.length v)
+  | ("exists" | "fn:exists"), [ v ] -> bool_value (v <> [])
+  | ("empty" | "fn:empty"), [ v ] -> bool_value (v = [])
+  | ("data" | "fn:data"), [ v ] -> List.map (fun a -> Atom a) (atomize v)
+  | ("distinct-values" | "fn:distinct-values"), [ v ] -> distinct_values v
+  | ("reverse" | "fn:reverse"), [ v ] -> List.rev v
+  | ("index-of" | "fn:index-of"), [ v; x ] -> (
     match atomize x with
     | [ target ] ->
       List.concat
@@ -142,31 +150,33 @@ let call env name (args : Value.t list) : Value.t =
              else [])
            v)
     | _ -> err "fn:index-of: second argument must be a single atomic")
-  | "fn", "subsequence", [ v; s ] ->
-    let start = int_of_float (Float.round (one_number "fn:subsequence" s)) in
-    List.filteri (fun i _ -> i + 1 >= start) v
-  | "fn", "subsequence", [ v; s; l ] ->
-    let start = int_of_float (Float.round (one_number "fn:subsequence" s)) in
-    let length = int_of_float (Float.round (one_number "fn:subsequence" l)) in
-    List.filteri (fun i _ -> i + 1 >= start && i + 1 < start + length) v
-  | "fn", "insert-before", [ v; p; ins ] ->
+  | ("subsequence" | "fn:subsequence"), [ v; s ] ->
+    let bounds = position_bounds (one_number "fn:subsequence" s) None in
+    List.filteri (fun i _ -> in_bounds bounds (i + 1)) v
+  | ("subsequence" | "fn:subsequence"), [ v; s; l ] ->
+    let bounds =
+      position_bounds (one_number "fn:subsequence" s)
+        (Some (one_number "fn:subsequence" l))
+    in
+    List.filteri (fun i _ -> in_bounds bounds (i + 1)) v
+  | ("insert-before" | "fn:insert-before"), [ v; p; ins ] ->
     let p = max 1 (int_of_float (one_number "fn:insert-before" p)) in
     let rec go i = function
       | [] -> ins
       | x :: rest -> if i = p then ins @ (x :: rest) else x :: go (i + 1) rest
     in
     go 1 v
-  | "fn", "remove", [ v; p ] ->
+  | ("remove" | "fn:remove"), [ v; p ] ->
     let p = int_of_float (one_number "fn:remove" p) in
     List.filteri (fun i _ -> i + 1 <> p) v
   (* ---- context ---- *)
-  | "fn", "position", [] -> int_value env.pos
-  | "fn", "last", [] -> int_value env.size
-  | "fn", "root", args ->
+  | ("position" | "fn:position"), [] -> int_value env.pos
+  | ("last" | "fn:last"), [] -> int_value env.size
+  | ("root" | "fn:root"), args ->
     (match opt_node "fn:root" (ctx_or_arg env "fn:root" args) with
      | None -> []
      | Some n -> [ Node (Tree.root_node (Tree.node_document n)) ])
-  | "fn", ("name" | "local-name"), args ->
+  | ("name" | "local-name" | "fn:name" | "fn:local-name"), args ->
     (match opt_node "fn:name" (ctx_or_arg env "fn:name" args) with
      | None -> str_value ""
      | Some n ->
@@ -175,60 +185,60 @@ let call env name (args : Value.t list) : Value.t =
           | Some nm -> Demaq_xml.Name.local nm
           | None -> ""))
   (* ---- strings ---- *)
-  | "fn", "string", args -> str_value (string_value (ctx_or_arg env "fn:string" args))
-  | "fn", "concat", args when List.length args >= 2 ->
+  | ("string" | "fn:string"), args -> str_value (string_value (ctx_or_arg env "fn:string" args))
+  | ("concat" | "fn:concat"), args when List.length args >= 2 ->
     str_value (String.concat "" (List.map (one_string "fn:concat") args))
-  | "fn", "string-join", [ v; sep ] ->
+  | ("string-join" | "fn:string-join"), [ v; sep ] ->
     let sep = one_string "fn:string-join" sep in
     str_value (String.concat sep (List.map string_of_atomic (atomize v)))
-  | "fn", "string-length", args ->
+  | ("string-length" | "fn:string-length"), args ->
     int_value (String.length (string_value (ctx_or_arg env "fn:string-length" args)))
-  | "fn", "contains", [ a; b ] ->
+  | ("contains" | "fn:contains"), [ a; b ] ->
     let s = one_string "fn:contains" a and sub = one_string "fn:contains" b in
     let n = String.length sub in
     let rec find i =
       i + n <= String.length s && (String.sub s i n = sub || find (i + 1))
     in
     bool_value (n = 0 || find 0)
-  | "fn", "starts-with", [ a; b ] ->
+  | ("starts-with" | "fn:starts-with"), [ a; b ] ->
     let s = one_string "fn:starts-with" a and p = one_string "fn:starts-with" b in
     bool_value
       (String.length p <= String.length s
       && String.sub s 0 (String.length p) = p)
-  | "fn", "ends-with", [ a; b ] ->
+  | ("ends-with" | "fn:ends-with"), [ a; b ] ->
     let s = one_string "fn:ends-with" a and p = one_string "fn:ends-with" b in
     bool_value
       (String.length p <= String.length s
       && String.sub s (String.length s - String.length p) (String.length p) = p)
-  | "fn", "substring", [ a; b ] ->
+  | ("substring" | "fn:substring"), [ a; b ] ->
     str_value
       (substring (one_string "fn:substring" a) (one_number "fn:substring" b) None)
-  | "fn", "substring", [ a; b; c ] ->
+  | ("substring" | "fn:substring"), [ a; b; c ] ->
     str_value
       (substring (one_string "fn:substring" a) (one_number "fn:substring" b)
          (Some (one_number "fn:substring" c)))
-  | "fn", "substring-before", [ a; b ] ->
+  | ("substring-before" | "fn:substring-before"), [ a; b ] ->
     let s = one_string "fn:substring-before" a
     and sep = one_string "fn:substring-before" b in
     (match split_on_string ~sep s with
      | first :: _ :: _ -> str_value first
      | _ -> str_value "")
-  | "fn", "substring-after", [ a; b ] ->
+  | ("substring-after" | "fn:substring-after"), [ a; b ] ->
     let s = one_string "fn:substring-after" a
     and sep = one_string "fn:substring-after" b in
     (match split_on_string ~sep s with
      | _ :: (_ :: _ as rest) -> str_value (String.concat sep rest)
      | _ -> str_value "")
-  | "fn", "normalize-space", args ->
+  | ("normalize-space" | "fn:normalize-space"), args ->
     str_value (normalize_space (string_value (ctx_or_arg env "fn:normalize-space" args)))
-  | "fn", "upper-case", [ v ] ->
+  | ("upper-case" | "fn:upper-case"), [ v ] ->
     str_value (String.uppercase_ascii (one_string "fn:upper-case" v))
-  | "fn", "lower-case", [ v ] ->
+  | ("lower-case" | "fn:lower-case"), [ v ] ->
     str_value (String.lowercase_ascii (one_string "fn:lower-case" v))
-  | "fn", "tokenize", [ v; sep ] ->
+  | ("tokenize" | "fn:tokenize"), [ v; sep ] ->
     let s = one_string "fn:tokenize" v and sep = one_string "fn:tokenize" sep in
     List.map (fun part -> Atom (String part)) (split_on_string ~sep s)
-  | "fn", "translate", [ v; from_; to_ ] ->
+  | ("translate" | "fn:translate"), [ v; from_; to_ ] ->
     let s = one_string "fn:translate" v in
     let from_ = one_string "fn:translate" from_
     and to_ = one_string "fn:translate" to_ in
@@ -240,24 +250,24 @@ let call env name (args : Value.t list) : Value.t =
         | None -> Buffer.add_char buf c)
       s;
     str_value (Buffer.contents buf)
-  | "fn", "replace", [ v; pat; rep ] ->
+  | ("replace" | "fn:replace"), [ v; pat; rep ] ->
     (* Deviation from F&O: [pat] is a literal substring, not a regex. *)
     let s = one_string "fn:replace" v in
     let pat = one_string "fn:replace" pat and rep = one_string "fn:replace" rep in
     str_value (String.concat rep (split_on_string ~sep:pat s))
-  | "fn", "matches", [ v; pat ] ->
+  | ("matches" | "fn:matches"), [ v; pat ] ->
     (* Deviation from F&O: substring containment, not a regex. *)
     let s = one_string "fn:matches" v and pat = one_string "fn:matches" pat in
     bool_value (pat = "" || List.length (split_on_string ~sep:pat s) > 1)
-  | "fn", "compare", [ a; b ] ->
+  | ("compare" | "fn:compare"), [ a; b ] ->
     int_value (String.compare (one_string "fn:compare" a) (one_string "fn:compare" b))
   (* ---- numbers ---- *)
-  | "fn", "number", args -> (
+  | ("number" | "fn:number"), args -> (
     match atomize (ctx_or_arg env "fn:number" args) with
     | [ a ] -> [ Atom (Decimal (number_of_atomic a)) ]
     | _ -> [ Atom (Decimal Float.nan) ])
-  | "fn", "sum", _ -> aggregate "fn:sum" ( +. ) 0.0 args
-  | "fn", "avg", [ v ] -> (
+  | ("sum" | "fn:sum"), _ -> aggregate "fn:sum" ( +. ) 0.0 args
+  | ("avg" | "fn:avg"), [ v ] -> (
     match atomize v with
     | [] -> []
     | atoms ->
@@ -267,24 +277,24 @@ let call env name (args : Value.t list) : Value.t =
         [ Atom
             (Decimal (List.fold_left ( +. ) 0.0 nums /. float_of_int (List.length nums)))
         ])
-  | "fn", "max", [ v ] -> (
+  | ("max" | "fn:max"), [ v ] -> (
     match atomize v with
     | [] -> []
     | a :: rest ->
       [ Atom (List.fold_left (fun m x -> if compare_atomic x m > 0 then x else m) a rest) ])
-  | "fn", "min", [ v ] -> (
+  | ("min" | "fn:min"), [ v ] -> (
     match atomize v with
     | [] -> []
     | a :: rest ->
       [ Atom (List.fold_left (fun m x -> if compare_atomic x m < 0 then x else m) a rest) ])
-  | "fn", "abs", [ v ] -> [ Atom (numeric_result (Float.abs (one_number "fn:abs" v))) ]
-  | "fn", "floor", [ v ] ->
+  | ("abs" | "fn:abs"), [ v ] -> [ Atom (numeric_result (Float.abs (one_number "fn:abs" v))) ]
+  | ("floor" | "fn:floor"), [ v ] ->
     [ Atom (numeric_result (Float.floor (one_number "fn:floor" v))) ]
-  | "fn", "ceiling", [ v ] ->
+  | ("ceiling" | "fn:ceiling"), [ v ] ->
     [ Atom (numeric_result (Float.ceil (one_number "fn:ceiling" v))) ]
-  | "fn", "round", [ v ] ->
-    [ Atom (numeric_result (Float.round (one_number "fn:round" v))) ]
-  | "fn", "deep-equal", [ a; b ] ->
+  | ("round" | "fn:round"), [ v ] ->
+    [ Atom (numeric_result (round_half_up (one_number "fn:round" v))) ]
+  | ("deep-equal" | "fn:deep-equal"), [ a; b ] ->
     let item_eq x y =
       match x, y with
       | Atom p, Atom q -> compare_atomic p q = 0
@@ -296,23 +306,24 @@ let call env name (args : Value.t list) : Value.t =
       | (Atom _ | Node _), _ -> false
     in
     bool_value (List.length a = List.length b && List.for_all2 item_eq a b)
-  | "fn", "zero-or-one", [ v ] ->
+  | ("zero-or-one" | "fn:zero-or-one"), [ v ] ->
     if List.length v <= 1 then v else err "fn:zero-or-one: more than one item"
-  | "fn", "one-or-more", [ v ] ->
+  | ("one-or-more" | "fn:one-or-more"), [ v ] ->
     if v <> [] then v else err "fn:one-or-more: empty sequence"
-  | "fn", "exactly-one", [ v ] ->
+  | ("exactly-one" | "fn:exactly-one"), [ v ] ->
     if List.length v = 1 then v else err "fn:exactly-one: not a singleton"
   (* ---- environment ---- *)
-  | "fn", "current-dateTime", [] -> int_value (env.host.h_now ())
-  | "fn", "collection", [ v ] ->
-    env.host.h_collection (one_string "fn:collection" v)
-  | "fn", "trace", [ v; label ] ->
+  | ("current-dateTime" | "fn:current-dateTime"), [] -> int_value ((host env).h_now ())
+  | ("collection" | "fn:collection"), [ v ] ->
+    (host env).h_collection (one_string "fn:collection" v)
+  | ("trace" | "fn:trace"), [ v; label ] ->
     (* identity with a side-channel: the classic F&O debugging hook *)
     Logs.debug (fun f ->
         f "fn:trace %s: %s" (one_string "fn:trace" label)
           (String.concat ", " (List.map string_of_atomic (atomize v))));
     v
-  | "fn", "error", [] -> err "fn:error()"
-  | "fn", "error", [ v ] -> err "%s" (one_string "fn:error" v)
-  | _, _, _ ->
-    err "unknown function %s#%d" name (List.length args)
+  | ("error" | "fn:error"), [] -> err "fn:error()"
+  | ("error" | "fn:error"), [ v ] -> err "%s" (one_string "fn:error" v)
+  | _ ->
+    if String.starts_with ~prefix:"qs:" name then err "unknown qs: function %s" name
+    else err "unknown function %s#%d" name (List.length args)

@@ -9,7 +9,9 @@
     - [fn:current-dateTime] returns the engine's virtual-clock tick as an
       integer rather than an [xs:dateTime];
     - [fn:tokenize], [fn:replace] and [fn:matches] treat their pattern as a
-      literal substring, not a regular expression. *)
+      literal substring, not a regular expression;
+    - [fn:string] of a sequence of several items is the string value of
+      the first, not a type error. *)
 
 val call : Context.env -> string -> Value.t list -> Value.t
 (** [call env name args] applies a built-in function.

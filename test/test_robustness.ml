@@ -186,6 +186,120 @@ let prop_eval_total =
       | exception Demaq.Xquery.Context.Eval_error _ -> true
       | exception _ -> false)
 
+(* ---- totality on mutated sources ----
+
+   Valid sources (the shipped programs and a spread of expressions), each
+   mutated by one to three seeded edits: a deleted span, an inserted
+   token, a duplicated span or a replaced byte. Every parser answers a
+   value or its own typed error, and every expression that parses
+   evaluates to a value or an [Eval_error]: any other exception escaping
+   is a bug. The corpus has no range expressions and no token inserts a
+   digit, so no mutant asks for an unbounded sequence. *)
+
+let example_programs () =
+  List.filter_map
+    (fun name ->
+      List.find_map
+        (fun dir ->
+          let path = Filename.concat dir name in
+          if Sys.file_exists path then Some (In_channel.with_open_bin path In_channel.input_all)
+          else None)
+        [ "../examples"; "examples" ])
+    [ "etl_pipeline.demaq"; "order_fanout.demaq"; "escalation.demaq" ]
+
+let corpus_exprs () =
+  List.concat_map
+    (fun src ->
+      List.map
+        (fun (r : Qdl.rule_def) -> Demaq.Xquery.Pp.to_string r.body)
+        (Qdl.rules (Qdl.parse_program src)))
+    (example_programs ())
+  @ [
+      "//event/value"; "string(//a/b)"; "if (//a/b and not(//c)) then 1 else 2";
+      "exists(//a/b/c)"; "empty(/r/a)"; "boolean(//b[@x = '1'])"; "$v//a/b";
+      "//a[1]/b"; "//a/@x"; "//a/b[2]"; "(//a)[last()]"; "//a/text()";
+      "<x a='{//b}'>{//a/b}{string(//c)} t</x>"; "<x>{1, 2}{<y/>}{//a/@x}</x>";
+      "element e { attribute k { 1 }, text { 'v' }, //a }";
+      "do enqueue <m>{//a}</m> into q"; "do reset"; "for $i at $p in //a where $p > 1 return $i/b";
+      "let $x := //a return count($x)"; "some $x in //a satisfies $x/b";
+      "every $x in (1, 2) satisfies $x > 0"; "(1, 2, 3)[1.5]"; "round(-2.5)";
+      "substring('12345', -0.5, 3)"; "subsequence((1, 2, 3), 2, 5)";
+      "concat('a', //b, 'c')"; "string-join(//b, ',')"; "sum(//n) div count(//n)";
+      "max((3, 1, 2))"; "distinct-values(('a', 'b', 'a'))"; "index-of((1, 2, 1), 1)";
+      "translate('abc', 'ab', 'x')"; "substring-before('a-b', '-')"; "tokenize('a b', ' ')";
+      "upper-case(local-name(/*))"; "number('12') + 1"; "'7' cast as xs:integer";
+      "'x' castable as xs:decimal"; "//a instance of element(a)+"; "//a treat as node()*";
+      "/r/a[b] | //c"; "//a intersect //a[b]"; "//a except //a[b]"; "//a[1] is //a[1]";
+      "//a[1] << //c"; "-(//n[1])"; "7 idiv 2 + 7 mod 2"; "qs:message()//a/b";
+    ]
+
+let tokens =
+  [| "("; ")"; "<"; ">"; "/"; "//"; "{"; "}"; "\""; "'"; "["; "]"; ","; "$v"; "@"; ":";
+     " "; "if"; "then"; "else"; "do"; "return"; "for"; "let"; "where"; ":="; ".."; ".";
+     "*"; "="; "-"; "text()"; "node()"; "</a>"; "<a>"; "(:"; ":)"; "create"; "rule";
+     "queue"; "enqueue"; "into"; "and"; "or"; "not("; "string("; "|" |]
+
+let mutate rng src =
+  let edit s =
+    let n = String.length s in
+    let pos = Random.State.int rng (n + 1) in
+    let len = min (n - pos) (1 + Random.State.int rng 8) in
+    match Random.State.int rng 4 with
+    | 0 -> String.sub s 0 pos ^ String.sub s (pos + len) (n - pos - len)
+    | 1 ->
+      let tok = tokens.(Random.State.int rng (Array.length tokens)) in
+      String.sub s 0 pos ^ tok ^ String.sub s pos (n - pos)
+    | 2 ->
+      let at = Random.State.int rng (n + 1) in
+      String.sub s 0 at ^ String.sub s pos len ^ String.sub s at (n - at)
+    | _ ->
+      if pos = n then s
+      else
+        String.mapi
+          (fun i c -> if i = pos then Char.chr (32 + Random.State.int rng 95) else c)
+          s
+  in
+  let rec go k s = if k = 0 then s else go (k - 1) (edit s) in
+  go (1 + Random.State.int rng 3) src
+
+let gen_mutant corpus =
+  let corpus = Array.of_list corpus in
+  QCheck.make ~print:Fun.id
+    (fun rng -> mutate rng corpus.(Random.State.int rng (Array.length corpus)))
+
+let prop_xquery_parser_total =
+  QCheck.Test.make ~name:"XQuery parser: mutants parse or raise Syntax_error" ~count:20000
+    (gen_mutant (corpus_exprs ()))
+    (fun src ->
+      match Xq_parser.parse src with _ -> true | exception Xq_parser.Syntax_error _ -> true)
+
+let prop_qdl_total =
+  QCheck.Test.make ~name:"QDL parser: mutants parse or raise Qdl_error" ~count:2000
+    (gen_mutant (example_programs ()))
+    (fun src -> match Qdl.parse_program src with _ -> true | exception Qdl.Qdl_error _ -> true)
+
+let prop_eval_total_on_mutants =
+  let ctx =
+    Demaq.xml
+      "<r><a x='1'><b>2</b><c>t</c></a><a><b>3</b><n>4</n></a><c><a><b>5</b></a></c></r>"
+  in
+  let doc_node = Demaq.Xquery.Eval.doc_node_of_tree ctx in
+  let env = Demaq.Xquery.Context.make ~item:(Demaq.Xquery.Value.Node doc_node) () in
+  let env =
+    Demaq.Xquery.Context.bind env "v" (Demaq.Xquery.Eval.eval env (Xq_parser.parse "//a"))
+  in
+  QCheck.Test.make ~name:"evaluator: parsed mutants evaluate or raise Eval_error" ~count:20000
+    (gen_mutant (corpus_exprs ()))
+    (fun src ->
+      match Xq_parser.parse src with
+      | exception Xq_parser.Syntax_error _ -> true
+      | expr -> (
+        match Demaq.Xquery.Eval.eval_with_updates env expr with
+        | _ -> true
+        | exception Demaq.Xquery.Context.Eval_error _ -> true))
+
+let seeded test = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 16 |]) test
+
 let suite =
   [
     ("crash-point matrix", `Quick, test_crash_point_matrix);
@@ -196,4 +310,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_xquery_fuzz;
     QCheck_alcotest.to_alcotest prop_qdl_fuzz;
     QCheck_alcotest.to_alcotest prop_eval_total;
+    seeded prop_xquery_parser_total;
+    seeded prop_qdl_total;
+    seeded prop_eval_total_on_mutants;
   ]

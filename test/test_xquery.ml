@@ -484,6 +484,7 @@ let o_sort_uniq ns =
   List.sort_uniq cmp ns
 
 let o_sel f ns = o_sort_uniq (List.concat_map f ns)
+let o_is_text (_, f) = match f with Otree (Tree.Text _) -> true | _ -> false
 let o_child name n = List.filter (o_named name) (o_children n)
 let o_desc name n = List.filter (o_named name) (o_descendants n)
 let o_nth k l = match List.nth_opt l (k - 1) with Some x -> [ x ] | None -> []
@@ -519,7 +520,23 @@ let path_cases =
     ("//n[position() = 2]", fun doc _ -> o_dos_child "n" (o_nth 2) doc);
     ("//n[$k]", fun doc _ -> o_dos_child "n" (o_nth 2) doc);
     ("(//n)[2]", fun doc _ -> o_nth 2 (o_desc "n" doc));
+    (* chains: E//t1/.../tk in one masked walk *)
+    ("//n/m/a", fun doc _ -> o_sel (o_child "a") (o_sel (o_child "m") (o_desc "n" doc)));
+    ("//n/n", fun doc _ -> o_sel (o_child "n") (o_desc "n" doc));
+    ("//n/n/n", fun doc _ -> o_sel (o_child "n") (o_sel (o_child "n") (o_desc "n" doc)));
+    ("//n/q/m", fun _ _ -> []);
+    ("//x/text()", fun doc _ -> o_sel (fun p -> List.filter o_is_text (o_children p)) (o_desc "x" doc));
+    ("a//n/m", fun _ ctx -> o_sel (o_child "m") (o_sel (o_desc "n") (o_child "a" ctx)));
+    ("$x//n/m", fun doc _ -> o_sel (o_child "m") (o_sel (o_desc "n") (o_desc "a" doc)));
+    ("qs:message()//n/m", fun doc _ -> o_sel (o_child "m") (o_desc "n" doc));
+    (* shapes that keep the literal evaluation *)
+    ("//n[1]/m", fun doc _ -> o_sel (o_child "m") (o_dos_child "n" (o_nth 1) doc));
+    ("//n/@a", fun doc _ -> o_sel (fun n -> List.filter (o_named "a") (o_attributes n)) (o_desc "n" doc));
+    ("//n/m[2]", fun doc _ -> o_sel (fun n -> o_nth 2 (o_child "m" n)) (o_desc "n" doc));
   ]
+
+(* Shapes that select nothing on every tree, by construction. *)
+let empty_cases = [ "//n/q/m" ]
 
 let node_at doc_node path =
   List.fold_left
@@ -528,6 +545,26 @@ let node_at doc_node path =
       | C i -> List.nth (Tree.children n) i
       | A i -> List.nth (Tree.attributes n) i)
     doc_node path
+
+(* The consumers that stop at a path's first hit must answer what they
+   answer over the path's whole sequence. *)
+let consumers_agree env seed src full =
+  let ebv = full <> [] in
+  List.iter
+    (fun (wrap, want) ->
+      let q = Printf.sprintf wrap src in
+      let got = show (Eval.eval env (Parser.parse q)) in
+      if got <> want then Alcotest.failf "seed %d, %s: got %S, want %S" seed q got want)
+    [
+      ("string(%s)", Value.string_value full);
+      ("if (%s) then 1 else 0", if ebv then "1" else "0");
+      ("boolean(%s)", string_of_bool ebv);
+      ("exists(%s)", string_of_bool ebv);
+      ("empty(%s)", string_of_bool (not ebv));
+      ("not(%s)", string_of_bool (not ebv));
+      ("fn:not(%s) or 1 = 2", string_of_bool (not ebv));
+      ("count(%s)", string_of_int (List.length full));
+    ]
 
 let test_path_oracle () =
   let hits = Hashtbl.create 16 in
@@ -538,14 +575,17 @@ let test_path_oracle () =
     let doc_node = Tree.root_node (Tree.node_document ctx) in
     let o_doc = ([], Odoc [ tree ]) in
     let o_ctx = ([ C 0 ], Otree tree) in
-    let env =
-      Context.bind
-        (Context.make ~item:(Value.Node ctx) ())
-        "k" [ Value.Atom (Value.Integer 2) ]
+    let host =
+      Lazy.from_val
+        { Context.null_host with h_message = (fun () -> [ Value.Node doc_node ]) }
     in
+    let env = Context.make ~host ~item:(Value.Node ctx) () in
+    let env = Context.bind env "k" [ Value.Atom (Value.Integer 2) ] in
+    let env = Context.bind env "x" (Eval.eval env (Parser.parse "//a")) in
     List.iter
       (fun (src, oracle) ->
         let got = Eval.eval env (Parser.parse src) in
+        consumers_agree env seed src got;
         let want = List.map (fun (p, _) -> node_at doc_node p) (oracle o_doc o_ctx) in
         if want <> [] then Hashtbl.replace hits src ();
         let same =
@@ -566,7 +606,8 @@ let test_path_oracle () =
   (* every shape must select something on some tree, or it proves nothing *)
   List.iter
     (fun (src, _) ->
-      if not (Hashtbl.mem hits src) then Alcotest.failf "%s selected nothing on any tree" src)
+      if not (Hashtbl.mem hits src || List.mem src empty_cases) then
+        Alcotest.failf "%s selected nothing on any tree" src)
     path_cases
 
 let pin_ctx = Xml_parser.parse "<r><a><x/><x/></a><b><x/></b></r>"
@@ -621,6 +662,111 @@ let test_extract_rule_allocation () =
     Alcotest.failf "extract rule allocates %.0f minor words per evaluation (bound 3000)"
       per_eval
 
+(* Nested same-name ancestors: each hit comes out once, in document order. *)
+let test_chain_pins () =
+  let ctx = Xml_parser.parse "<a><a><b>1</b></a><b>2</b></a>" in
+  check string_ "//a/b" "<b>1</b>;<b>2</b>" (show (eval ~ctx "//a/b"));
+  check string_ "//a/a/b" "<b>1</b>" (show (eval ~ctx "//a/a/b"));
+  check string_ "string(//a/b)" "1" (show (eval ~ctx "string(//a/b)"));
+  check string_ "//a/b/text()" "1;2" (show (eval ~ctx "//a/b/text()"));
+  check string_ "missing middle step" "" (show (eval ~ctx "//a/c/b"));
+  check string_ "(//a, //a)//a/b dedups" "<b>1</b>" (show (eval ~ctx "(//a, //a)//a/b"));
+  match eval ~ctx {|"x"//a/b|} with
+  | _ -> Alcotest.fail "a chain over an atomic base must fail"
+  | exception Context.Eval_error _ -> ()
+
+(* A numeric predicate keeps the item whose position equals it as a
+   number: 1.5 equals no position. *)
+let test_numeric_predicates () =
+  let ctx = Xml_parser.parse "<r><b>1</b><b>2</b></r>" in
+  List.iter
+    (fun (src, want) -> check string_ src want (show (eval ~ctx src)))
+    [
+      ("(1, 2, 3)[1.5]", "");
+      ("(10, 20, 30)[2.7]", "");
+      ("(10, 20, 30)[2.0]", "20");
+      ("(10, 20, 30)[0 div 0]", "");
+      ("//b[1.5]", "");
+      ("//b[2]", "<b>2</b>");
+    ]
+
+(* F&O: fn:round rounds halves toward positive infinity, and fn:substring
+   and fn:subsequence define their bounds through it. A negative zero
+   result is an integer-valued number, shown as 0. *)
+let test_rounding () =
+  List.iter
+    (fun (src, want) -> check string_ src want (show (eval src)))
+    [
+      ("round(2.5)", "3");
+      ("round(2.4999)", "2");
+      ("round(-2.5)", "-2");
+      ("round(-2.6)", "-3");
+      ("round(-0.5)", "0");
+      ("round(0.5)", "1");
+      ("round(7)", "7");
+      ({|substring("motor car", 6)|}, " car");
+      ({|substring("metadata", 4, 3)|}, "ada");
+      ({|substring("12345", 1.5, 2.6)|}, "234");
+      ({|substring("12345", 0, 3)|}, "12");
+      ({|substring("12345", 5, -3)|}, "");
+      ({|substring("12345", -3, 5)|}, "1");
+      ({|substring("12345", 0 div 0, 3)|}, "");
+      ({|substring("12345", 1, 0 div 0)|}, "");
+      ({|substring("12345", -42, 1 div 0)|}, "12345");
+      ({|substring("12345", -1 div 0, 1 div 0)|}, "");
+      ({|substring("12345", -0.5, 3)|}, "12");
+      ({|subsequence(("a", "b", "c", "d", "e"), 4)|}, "d;e");
+      ({|subsequence(("a", "b", "c", "d", "e"), 3, 2)|}, "c;d");
+      ("subsequence((1, 2, 3, 4), -0.5, 3)", "1;2");
+      ("subsequence((1, 2, 3, 4), 0 div 0)", "");
+      ("subsequence((1, 2, 3, 4), -1 div 0, 1 div 0)", "");
+    ]
+
+(* Each ETL rule's evaluation allocates at most half of what it did when
+   every path materialized its node lists and every constructor wrapped
+   its tree in a document (983, 1,010 and 678 words). *)
+let etl_rule name =
+  let path =
+    List.find Sys.file_exists
+      [ "../examples/etl_pipeline.demaq"; "examples/etl_pipeline.demaq" ]
+  in
+  let program =
+    Demaq.Lang.Qdl.parse_program (In_channel.with_open_bin path In_channel.input_all)
+  in
+  (List.find
+     (fun (r : Demaq.Lang.Qdl.rule_def) -> r.rname = name)
+     (Demaq.Lang.Qdl.rules program))
+    .body
+
+let etl_stage name input bound =
+  let body = etl_rule name in
+  let env = Context.make ~item:(Value.Node (Eval.doc_node_of_tree input)) () in
+  let run () =
+    match Eval.eval_with_updates env body with
+    | _, [ Update.Enqueue { payload; _ } ] -> payload
+    | _ -> Alcotest.failf "%s rule did not enqueue" name
+  in
+  let out = run () in
+  let rounds = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do ignore (run ()) done;
+  let per_eval = (Gc.minor_words () -. before) /. float_of_int rounds in
+  if per_eval > bound then
+    Alcotest.failf "%s rule allocates %.0f minor words per evaluation (bound %.0f)" name
+      per_eval bound;
+  out
+
+let etl_event =
+  Xml_parser.parse
+    "<event><eventID>e1</eventID><source>s1</source><metric>m1</metric><value>42</value></event>"
+
+let test_etl_rule_allocation name () =
+  let clean = etl_stage "extract" etl_event (if name = "extract" then 491. else infinity) in
+  let fact = etl_stage "transform" clean (if name = "transform" then 505. else infinity) in
+  let row = etl_stage "load" fact (if name = "load" then 339. else infinity) in
+  check string_ "row" "<row><eventID>e1</eventID><metric>m1</metric></row>"
+    (Demaq.Xml.Serializer.to_string row)
+
 let quick name f = (name, `Quick, f)
 let table cases = List.map (fun (name, f) -> (name, `Quick, f)) cases
 
@@ -649,4 +795,11 @@ let suite =
       quick "paths agree with a tree-walking oracle" test_path_oracle;
       quick "positional and attribute paths stay unfused" test_positional_pins;
       quick "extract rule allocation bound" test_extract_rule_allocation;
+      quick "chains over nested same-name ancestors" test_chain_pins;
+      quick "numeric predicates compare positions as numbers" test_numeric_predicates;
+      quick "round, substring and subsequence round halves up" test_rounding;
+      quick "etl extract rule allocates at most 491 words" (test_etl_rule_allocation "extract");
+      quick "etl transform rule allocates at most 505 words"
+        (test_etl_rule_allocation "transform");
+      quick "etl load rule allocates at most 339 words" (test_etl_rule_allocation "load");
     ]
