@@ -255,7 +255,7 @@ let enqueue t txn ?rule ?trigger ?(provenance = Message.no_provenance)
          (* The queue schema also restricts the message root to a declared
             element: an entirely undeclared document does not "conform to
             the schema" (§2.1.1). *)
-         Schema.root_allowed schema (Schema.declared_names schema) payload
+         Schema.root_allowed schema payload
        | None -> Ok ())
     with
     | Error reason -> Error (Schema_violation { queue; reason })

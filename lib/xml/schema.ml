@@ -11,14 +11,11 @@ type content =
 
 module Smap = Map.Make (String)
 
-(* [names] is [decls]' key list, kept so that admitting a message builds
-   no list. *)
-type t = { decls : content Smap.t; names : string list }
+type t = content Smap.t
 
-let of_decls decls = { decls; names = List.map fst (Smap.bindings decls) }
-let empty = of_decls Smap.empty
-let declare t name content = of_decls (Smap.add name content t.decls)
-let declared t name = Smap.find_opt name t.decls
+let empty = Smap.empty
+let declare t name content = Smap.add name content t
+let declared t name = Smap.find_opt name t
 
 (* ---- textual syntax ---- *)
 
@@ -83,7 +80,7 @@ let parse src =
          decls (Smap.add name content t) rest)
     | tok :: _ -> Error ("schema: expected 'element', found " ^ tok)
   in
-  Result.map of_decls (decls Smap.empty (tokenize src))
+  decls Smap.empty (tokenize src)
 
 (* ---- validation ----
 
@@ -138,7 +135,7 @@ let rec validate_tree t tree =
   | Tree.Element e -> (
     let name = Name.local e.Tree.name in
     let local_check =
-      match Smap.find name t.decls with
+      match Smap.find name t with
       | exception Not_found -> Ok ()
       | Any | Mixed -> Ok ()
       | Empty ->
@@ -165,17 +162,17 @@ and validate_children t = function
 
 let validate t tree = validate_tree t tree
 
-let root_allowed t roots tree =
+let declared_names t = List.map fst (Smap.bindings t)
+
+let root_allowed t tree =
   match tree with
   | Tree.Element e ->
     let name = Name.local e.Tree.name in
-    if roots <> [] && not (List.mem name roots) then
+    if not (Smap.is_empty t || Smap.mem name t) then
       Error (Printf.sprintf "root element <%s> not allowed; expected one of: %s"
-               name (String.concat ", " roots))
+               name (String.concat ", " (declared_names t)))
     else validate t tree
   | _ -> Error "document root must be an element"
-
-let declared_names t = t.names
 
 (* ---- sample-message generation ----
 
@@ -209,11 +206,11 @@ let leaf_text name vary =
   else Printf.sprintf "%s-%d" name vary
 
 let example ?(vary = 0) ?(max_depth = 8) t name =
-  match Smap.find_opt name t.decls with
+  match Smap.find_opt name t with
   | None -> None
   | Some _ ->
     let rec build depth name vary =
-      match if depth <= 0 then None else Some (Smap.find_opt name t.decls) with
+      match if depth <= 0 then None else Some (Smap.find_opt name t) with
       | None | Some (Some Empty) -> Tree.elem name []
       | Some (None | Some (Any | Text_only | Mixed)) ->
         Tree.elem name [ Tree.text (leaf_text name vary) ]

@@ -52,9 +52,9 @@ val validate : t -> Tree.tree -> (unit, string) result
     declarations in [s]. The error message names the offending element and
     what was expected. *)
 
-val root_allowed : t -> string list -> Tree.tree -> (unit, string) result
-(** Additionally restrict the root element's local name to the given list
-    (empty list = no restriction). *)
+val root_allowed : t -> Tree.tree -> (unit, string) result
+(** [validate], and additionally require the root element's local name to
+    have a declaration in [s] (an empty schema restricts nothing). *)
 
 val declared_names : t -> string list
 (** All element names with a declaration, sorted. *)

@@ -384,19 +384,8 @@ and chain_first env e k =
    value, emptiness, or the string value of the first item. A chain
    stops at its first hit; anything else is evaluated in full. *)
 and ebv_of env e =
-  match e with
-  | Binary (And, a, b) -> ebv_of env a && ebv_of env b
-  | Binary (Or, a, b) -> ebv_of env a || ebv_of env b
-  | Call (name, [ a ]) -> (
-    match short_call name with
-    | `Not -> not (ebv_of env a)
-    | `Boolean -> ebv_of env a
-    | `Exists -> exists_of env a
-    | `Empty -> not (exists_of env a)
-    | `String | `Other -> ebv (eval env e))
-  | _ ->
-    let k = chain_length e in
-    if k > 0 then Option.is_some (chain_first env e k) else ebv (eval env e)
+  let k = chain_length e in
+  if k > 0 then Option.is_some (chain_first env e k) else ebv (eval env e)
 
 and exists_of env e =
   let k = chain_length e in

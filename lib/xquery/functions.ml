@@ -117,7 +117,9 @@ let distinct_values v =
   List.map (fun a -> Atom a) (dedup [] atoms)
 
 (* Names are matched whole, an unprefixed name standing for its [fn:]
-   form, so a call splits no string. *)
+   form, so a call splits no string. The one-argument forms of not,
+   boolean, exists, empty and string are not here: the evaluator defines
+   them, so that they can stop at a path's first hit. *)
 let call env name (args : Value.t list) : Value.t =
   match name, args with
   (* ---- qs: queue library (host hooks) ---- *)
@@ -130,12 +132,8 @@ let call env name (args : Value.t list) : Value.t =
   (* ---- booleans ---- *)
   | ("true" | "fn:true"), [] -> bool_value true
   | ("false" | "fn:false"), [] -> bool_value false
-  | ("not" | "fn:not"), [ v ] -> bool_value (not (ebv v))
-  | ("boolean" | "fn:boolean"), [ v ] -> bool_value (ebv v)
   (* ---- sequences ---- *)
   | ("count" | "fn:count"), [ v ] -> int_value (List.length v)
-  | ("exists" | "fn:exists"), [ v ] -> bool_value (v <> [])
-  | ("empty" | "fn:empty"), [ v ] -> bool_value (v = [])
   | ("data" | "fn:data"), [ v ] -> List.map (fun a -> Atom a) (atomize v)
   | ("distinct-values" | "fn:distinct-values"), [ v ] -> distinct_values v
   | ("reverse" | "fn:reverse"), [ v ] -> List.rev v
@@ -185,7 +183,7 @@ let call env name (args : Value.t list) : Value.t =
           | Some nm -> Demaq_xml.Name.local nm
           | None -> ""))
   (* ---- strings ---- *)
-  | ("string" | "fn:string"), args -> str_value (string_value (ctx_or_arg env "fn:string" args))
+  | ("string" | "fn:string"), [] -> str_value (string_value [ context_item env ])
   | ("concat" | "fn:concat"), args when List.length args >= 2 ->
     str_value (String.concat "" (List.map (one_string "fn:concat") args))
   | ("string-join" | "fn:string-join"), [ v; sep ] ->

@@ -275,9 +275,11 @@ let test_schema_violations () =
 let test_schema_root_restriction () =
   let s = schema () in
   check bool_ "allowed root" true
-    (Result.is_ok (Schema.root_allowed s [ "item" ] (parse "<item>x</item>")));
+    (Result.is_ok (Schema.root_allowed s (parse "<item>x</item>")));
   check bool_ "wrong root" false
-    (Result.is_ok (Schema.root_allowed s [ "item" ] (parse "<note/>")))
+    (Result.is_ok (Schema.root_allowed s (parse "<whatever/>")));
+  check bool_ "declared root still validated" false
+    (Result.is_ok (Schema.root_allowed s (parse "<flag>x</flag>")))
 
 let test_schema_parse_errors () =
   check bool_ "garbage" true (Result.is_error (Schema.parse "element x { !!! }"));
@@ -309,7 +311,7 @@ element qty { text }
   | Some doc ->
     check bool_ "example validates" true (Result.is_ok (Schema.validate s doc));
     check bool_ "rooted correctly" true
-      (Result.is_ok (Schema.root_allowed s [ "order" ] doc)));
+      (Result.is_ok (Schema.root_allowed s doc)));
   (* varying the seed still validates, and produces different documents *)
   let render v =
     match Schema.example ~vary:v s "order" with

@@ -52,6 +52,15 @@ let cases =
     ("computed text standalone", expect "string(text {'plain'})" "plain");
     ("computed element is navigable",
      expect "count(element box {//a}/a)" "2");
+    (* adjacent text children of a constructed element merge into one node *)
+    ("computed element merges adjacent text",
+     expect "count(element a {(text {'x'}, text {'y'})}/node())" "1");
+    ("computed element merged text value",
+     expect "string(element a {(text {'x'}, text {'y'})})" "xy");
+    ("direct element merges adjacent text",
+     expect "count(<a>{text {'x'}}{'y'}<b/>{'z'}</a>/node())" "3");
+    ("direct element merges literal and enclosed text",
+     expect "count(<a>x{'y'}{1, 2}</a>/node())" "1");
     (* positional variables *)
     ("for at simple", expect "for $x at $i in ('a', 'b', 'c') return $i" "1;2;3");
     ("for at used in result",
